@@ -7,7 +7,14 @@ integer pairs and binary recurrence sequences inside the triangle.
 """
 
 from .linrec import CoupledSystem, TernaryCoeffs, eliminate, eliminate_homogeneous
-from .locator import PairLocation, embed_recurrence, euclid_chain, locate_pair, locate_row
+from .locator import (
+    PairLocation,
+    embed_recurrence,
+    euclid_chain,
+    locate_pair,
+    locate_pairs,
+    locate_row,
+)
 from .quadfield import QuadElem
 from .sequences import (
     alt_sum,
@@ -60,6 +67,7 @@ __all__ = [
     "generate_rows",
     "initial_row",
     "locate_pair",
+    "locate_pairs",
     "locate_row",
     "next_row",
     "parity_s",

@@ -1,7 +1,8 @@
 """Command-line front end: generation, verification, export.
 
-Exit codes: 0 success, 1 failed check or located-pair failure, 2 usage
-error (argparse), 3 cell budget exceeded.
+Exit codes: 0 success, 1 failed check or located-pair failure (an exact
+value that is not an integer, or an arithmetic inconsistency, counts as
+a failed check), 2 usage error, 3 cell budget exceeded.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import export, linrec, locator, pattern, sequences, verify
+from .quadfield import NotIntegralError, NotRationalError
 from .triangle import (
     BudgetExceeded,
     DEFAULT_CELL_BUDGET,
@@ -305,6 +307,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (NotIntegralError, NotRationalError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .triangle import DEFAULT_CELL_BUDGET, generate_rows, row_cell_count
+from .triangle import DEFAULT_CELL_BUDGET, Row, generate_rows, row_cell_count
 
 FULL_ROW = "full-row"
 UNVERIFIED = "unverified"
@@ -165,35 +165,87 @@ class PairLocation:
 
 
 def _scan(values: list[int], u: int, v: int) -> tuple[int, str] | None:
-    """Leftmost adjacency of (u, v); mirror hits only when none as given."""
-    mirrored = None
-    for j in range(len(values) - 1):
-        if values[j] == u and values[j + 1] == v:
-            return j, AS_GIVEN
-        if mirrored is None and values[j] == v and values[j + 1] == u:
-            mirrored = j
-    if mirrored is not None:
-        return mirrored, MIRRORED
+    """Leftmost adjacency of (u, v); mirror hits only when none as given.
+
+    Hops between occurrences of the pair's first value with list.index,
+    so the per-cell work runs in C.
+    """
+    stop = len(values) - 1  # the last cell that can start a pair is stop - 1
+    for first, second, orientation in ((u, v, AS_GIVEN), (v, u, MIRRORED)):
+        j = -1
+        try:
+            while True:
+                j = values.index(first, j + 1, stop)
+                if values[j + 1] == second:
+                    return j, orientation
+        except ValueError:
+            pass
     return None
+
+
+class PairScanner:
+    """Places a batch of pairs as the q = 5 rows stream past.
+
+    Each pair's row comes from its descent trace.  Feed rows in order up
+    to last_row; each row is searched for every pair predicted in it.
+    outcomes[i] is then the PairLocation of the i-th pair, or the
+    LocationFailure of a pair missing from its fully scanned row.  Pairs
+    whose row exceeds the budget are UNVERIFIED from the start.
+    """
+
+    def __init__(
+        self, pairs: Iterable[tuple[int, int]], cell_budget: int = DEFAULT_CELL_BUDGET
+    ) -> None:
+        self.outcomes: list[PairLocation | LocationFailure | None] = []
+        self._waiting: dict[int, list[tuple]] = {}  # row -> (index, u, v, trace)
+        for i, (u, v) in enumerate(pairs):
+            if u < 1 or v < 1:
+                raise ValueError(f"both values must be positive, got ({u}, {v})")
+            trace = descent_trace(min(u, v), max(u, v))
+            row_index = sum(step.descend for step in trace)
+            if row_cell_count(5, row_index, cap=cell_budget) is None:
+                self.outcomes.append(
+                    PairLocation(u, v, row_index, None, UNVERIFIED, None, None, trace)
+                )
+            else:
+                self.outcomes.append(None)
+                self._waiting.setdefault(row_index, []).append((i, u, v, trace))
+        self.last_row = max(self._waiting, default=-1)
+
+    def feed(self, row: Row) -> None:
+        for i, u, v, trace in self._waiting.pop(row.n, ()):
+            hit = _scan(row.values, u, v)
+            if hit is None:
+                self.outcomes[i] = LocationFailure(u, v, row.n)
+                continue
+            col, orientation = hit
+            kinds = (row.kinds[col], row.kinds[col + 1])
+            self.outcomes[i] = PairLocation(
+                u, v, row.n, col, FULL_ROW, orientation, kinds, trace
+            )
+
+
+def locate_pairs(
+    pairs: Iterable[tuple[int, int]], cell_budget: int = DEFAULT_CELL_BUDGET
+) -> list[PairLocation]:
+    """Locate many pairs in one pass, building each q = 5 row at most once.
+
+    Locations come back in input order; a pair missing from its scanned
+    row raises LocationFailure, the first such pair in input order.
+    """
+    scanner = PairScanner(pairs, cell_budget)
+    if scanner.last_row >= 0:
+        for row in generate_rows(5, scanner.last_row, cell_budget):
+            scanner.feed(row)
+    for out in scanner.outcomes:
+        if isinstance(out, LocationFailure):
+            raise out
+    return scanner.outcomes
 
 
 def locate_pair(u: int, v: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> PairLocation:
     """Locate (u, v) as row neighbours, scanning the row when it fits."""
-    if u < 1 or v < 1:
-        raise ValueError(f"both values must be positive, got ({u}, {v})")
-    lo, hi = min(u, v), max(u, v)
-    row_index = locate_row(lo, hi)
-    trace = descent_trace(lo, hi)
-    if row_cell_count(5, row_index, cap=cell_budget) is None:
-        return PairLocation(u, v, row_index, None, UNVERIFIED, None, None, trace)
-    for row in generate_rows(5, row_index, cell_budget):
-        pass
-    hit = _scan(row.values, u, v)
-    if hit is None:
-        raise LocationFailure(u, v, row_index)
-    col, orientation = hit
-    kinds = (row.kinds[col], row.kinds[col + 1])
-    return PairLocation(u, v, row_index, col, FULL_ROW, orientation, kinds, trace)
+    return locate_pairs([(u, v)], cell_budget)[0]
 
 
 def embed_recurrence(
@@ -201,9 +253,9 @@ def embed_recurrence(
 ) -> list[PairLocation]:
     """Locate the consecutive pairs of f[j] = eta*f[j-1] + f[j-2].
 
-    Returns locations for (f0, f1) .. (f[m-1], f[m]).  From the second
-    pair on, consecutive located rows differ by exactly eta, and each
-    verified f[j+1] cell has kind A.
+    Returns locations for (f0, f1) .. (f[m-1], f[m]), found in one pass
+    down the triangle.  From the second pair on, consecutive located
+    rows differ by exactly eta, and each verified f[j+1] cell has kind A.
     """
     if not 0 < f0 < f1:
         raise ValueError(f"need 0 < f0 < f1, got ({f0}, {f1})")
@@ -216,6 +268,4 @@ def embed_recurrence(
     terms = [f0, f1]
     while len(terms) <= m:
         terms.append(eta * terms[-1] + terms[-2])
-    return [
-        locate_pair(terms[j], terms[j + 1], cell_budget) for j in range(m)
-    ]
+    return locate_pairs(zip(terms, terms[1:]), cell_budget)

@@ -8,18 +8,21 @@ pattern differences satisfy an exact recurrence driven by the powers
 each row is a prefix of the next (except row 1 of row 2), the centre of
 row n+3 is a copy of row n, and row 3k carries the central value 2**k.
 
-The checkers here regenerate rows on demand; pass precomputed rows to
-avoid that when verifying many indices.
+Each law is a predicate over pattern codes, bit strings or cells, so a
+caller that already streams the rows (as `verify` does) keeps only
+those.  The index-based checkers stream the rows they read themselves,
+in a single pass from row 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import sequences
 from .triangle import (
     DEFAULT_CELL_BUDGET,
+    Cell,
     Row,
     TYPE_B,
     central_cell,
@@ -45,41 +48,26 @@ def encode_row(row: Row) -> PatternCode:
     return PatternCode(row.n, int(bits, 2), len(bits))
 
 
-def _rows_by_index(
-    wanted: set[int], cell_budget: int, rows: Sequence[Row] | None
-) -> dict[int, Row]:
-    """Fetch the wanted rows, from a supplied list or by streaming."""
-    top = max(wanted)
-    if rows is not None:
-        if len(rows) <= top:
-            raise ValueError(f"need rows up to {top}, got {len(rows)}")
-        return {i: rows[i] for i in wanted}
-    out: dict[int, Row] = {}
-    for row in generate_rows(5, top, cell_budget):
+def _rows(wanted: Iterable[int], cell_budget: int) -> Iterator[Row]:
+    """The wanted q = 5 rows in index order, from a single stream."""
+    wanted = set(wanted)
+    for row in generate_rows(5, max(wanted), cell_budget):
         if row.n in wanted:
-            out[row.n] = row
-    return out
+            yield row
 
 
-def pattern_int(
-    n: int,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-    rows: Sequence[Row] | None = None,
-) -> int:
+def pattern_int(n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
     """The binary pattern of row n as an integer."""
     if n < 0:
         raise ValueError("row index must be nonnegative")
-    return encode_row(_rows_by_index({n}, cell_budget, rows)[n]).value
+    (row,) = _rows([n], cell_budget)
+    return encode_row(row).value
 
 
-def pattern_diff(
-    n: int,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-    rows: Sequence[Row] | None = None,
-) -> int:
+def pattern_diff(n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
     """pattern_int(n+1) - pattern_int(n)."""
-    got = _rows_by_index({n, n + 1}, cell_budget, rows)
-    return encode_row(got[n + 1]).value - encode_row(got[n]).value
+    this, following = (encode_row(r).value for r in _rows([n, n + 1], cell_budget))
+    return following - this
 
 
 def _row_len(n: int) -> int:
@@ -93,12 +81,13 @@ def growth_power(n: int) -> int:
     return 2 ** (_row_len(n + 1) - _row_len(n))
 
 
-def check_pattern_recurrence(
-    n: int,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-    rows: Sequence[Row] | None = None,
-) -> bool:
-    """Exact check of the pattern-difference recurrence at index n >= 3.
+# ---------------------------------------------------------------------------
+# the laws, as predicates over pattern codes, bit strings and cells
+# ---------------------------------------------------------------------------
+
+
+def recurrence_holds(n: int, codes: Sequence[int]) -> bool:
+    """The pattern-difference recurrence at n >= 3, from the codes of rows n-2..n+1.
 
     With D_k = pattern_diff(k) and S_k = growth_power(k):
 
@@ -107,57 +96,62 @@ def check_pattern_recurrence(
     Evaluated over exact rationals, so the integrality of S_n/S_{n-1} is
     checked rather than assumed.
     """
-    if n < 3:
-        raise ValueError("the recurrence is stated for n >= 3")
-    got = _rows_by_index({n - 2, n - 1, n, n + 1}, cell_budget, rows)
-    codes = {i: encode_row(r).value for i, r in got.items()}
-    d_n = codes[n + 1] - codes[n]
-    d_1 = codes[n] - codes[n - 1]
-    d_2 = codes[n - 1] - codes[n - 2]
+    c_2, c_1, c_0, c_next = codes
+    d_n, d_1, d_2 = c_next - c_0, c_0 - c_1, c_1 - c_2
     s_n = growth_power(n)
     s_1 = growth_power(n - 1)
     rhs = (Fraction(s_n, s_1) + s_n + s_1) * d_1 - Fraction(s_1) ** 2 * d_2
     return rhs == d_n
 
 
-def check_prefix(
-    n: int,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-    rows: Sequence[Row] | None = None,
-) -> bool:
+def prefix_holds(bits: str, following: str) -> bool:
+    """A row's pattern opens the next row's pattern."""
+    return following[: len(bits)] == bits
+
+
+def central_copy_holds(inner: str, outer: str) -> bool:
+    """The centre of the outer pattern (row n+3) repeats the inner one (row n)."""
+    start = (len(outer) - len(inner)) // 2
+    return outer[start : start + len(inner)] == inner
+
+
+def central_value_holds(k: int, cell: Cell) -> bool:
+    """The central cell of row 3k holds 2**k and has kind B."""
+    return cell.value == 2**k and cell.kind == TYPE_B
+
+
+# ---------------------------------------------------------------------------
+# the laws at a row index, streaming the rows they read
+# ---------------------------------------------------------------------------
+
+
+def check_pattern_recurrence(n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> bool:
+    """Exact check of the pattern-difference recurrence at index n >= 3."""
+    if n < 3:
+        raise ValueError("the recurrence is stated for n >= 3")
+    codes = [encode_row(r).value for r in _rows(range(n - 2, n + 2), cell_budget)]
+    return recurrence_holds(n, codes)
+
+
+def check_prefix(n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> bool:
     """Row n's pattern opens row n+1 (true for every n except n = 1)."""
     if n < 0:
         raise ValueError("row index must be nonnegative")
     if n == 1:
         raise ValueError("n = 1 is the excluded index: row 2 does not start BB")
-    got = _rows_by_index({n, n + 1}, cell_budget, rows)
-    this = pattern_bits(got[n])
-    return pattern_bits(got[n + 1])[: len(this)] == this
+    return prefix_holds(*map(pattern_bits, _rows([n, n + 1], cell_budget)))
 
 
-def check_central_copy(
-    n: int,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-    rows: Sequence[Row] | None = None,
-) -> bool:
+def check_central_copy(n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> bool:
     """The centre of row n+3 repeats the whole pattern of row n."""
     if n < 0:
         raise ValueError("row index must be nonnegative")
-    got = _rows_by_index({n, n + 3}, cell_budget, rows)
-    inner = pattern_bits(got[n])
-    outer = pattern_bits(got[n + 3])
-    start = (len(outer) - len(inner)) // 2
-    return outer[start : start + len(inner)] == inner
+    return central_copy_holds(*map(pattern_bits, _rows([n, n + 3], cell_budget)))
 
 
-def check_central_value(
-    k: int,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-    rows: Sequence[Row] | None = None,
-) -> bool:
+def check_central_value(k: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> bool:
     """Row 3k's central cell holds 2**k and has kind B (k >= 1)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    row = _rows_by_index({3 * k}, cell_budget, rows)[3 * k]
-    cell = central_cell(row)
-    return cell.value == 2**k and cell.kind == TYPE_B
+    (row,) = _rows([3 * k], cell_budget)
+    return central_value_holds(k, central_cell(row))

@@ -20,10 +20,11 @@ sum stabilises: it is 1 for row 0, vanishes for rows of even length
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple
 
 from .quadfield import QuadElem
-from .triangle import Row, TYPE_A, TYPE_B
+from .triangle import Row, TYPE_A, TYPE_B, kind_mask
 
 
 class DegenerateDiscriminant(ValueError):
@@ -179,17 +180,13 @@ def alt_triple_from_row(row: Row) -> AltTriple:
     in an odd-length row the two winger terms add +2, in an even-length
     row they cancel.
     """
-    a_part = b_part = total = 0
-    sign = 1
-    for value, kind in zip(row.values, row.kinds):
-        term = value if sign > 0 else -value
-        sign = -sign
-        total += term
-        if kind == TYPE_A:
-            a_part += term
-        elif kind == TYPE_B:
-            b_part += term
-    return AltTriple(a_part, b_part, total)
+    even, odd = row.values[0::2], row.values[1::2]
+
+    def signed(kind: str) -> int:
+        mask = kind_mask(row, kind)
+        return sum(compress(even, mask[0::2])) - sum(compress(odd, mask[1::2]))
+
+    return AltTriple(signed(TYPE_A), signed(TYPE_B), sum(even) - sum(odd))
 
 
 def alt_step(a_part: int, b_part: int) -> tuple[int, int]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, NamedTuple
 
 WINGER = "W"
@@ -31,6 +32,12 @@ TYPE_A = "A"
 TYPE_B = "B"
 
 DEFAULT_CELL_BUDGET = 10**7
+
+# per kind, a bytes.translate table sending that kind to 1 and the others to 0
+_KIND_TABLES = {
+    TYPE_A: bytes.maketrans(b"WAB", b"\0\1\0"),
+    TYPE_B: bytes.maketrans(b"WAB", b"\0\0\1"),
+}
 
 
 class BudgetExceeded(Exception):
@@ -188,6 +195,11 @@ def nth_row(q: int, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> Row:
     return row
 
 
+def kind_mask(row: Row, kind: str) -> bytes:
+    """1 at each cell of the given kind, 0 elsewhere: a selector for compress."""
+    return row.kinds.encode("ascii").translate(_KIND_TABLES[kind])
+
+
 def row_counts(row: Row) -> tuple[int, int, int]:
     """(#kind-A, #kind-B, total) cells of a row with index >= 1."""
     if row.n < 1:
@@ -202,7 +214,7 @@ def row_sums(row: Row) -> tuple[int, int, int]:
     if row.n < 1:
         raise ValueError("row 0 has no winger pair; sums start at row 1")
     total = sum(row.values)
-    a = sum(v for v, k in zip(row.values, row.kinds) if k == TYPE_A)
+    a = sum(compress(row.values, kind_mask(row, TYPE_A)))
     return a, total - a - 2, total
 
 

@@ -4,6 +4,12 @@ Each suite checks one family of exact claims end to end and reports a
 single pass/fail result with a short account of what was covered.
 Everything is exact integer or rational arithmetic; a single mismatch
 anywhere fails the suite and is named in the detail string.
+
+The suites that read generated rows (three-way, alternating, parity,
+pattern, locator) each have a row consumer that keeps small per-row
+results, never rows.  `run` builds every row those suites read once, in
+one stream per q, and hands it to each consumer that reads it; a suite
+called on its own streams just its own rows.
 """
 
 from __future__ import annotations
@@ -16,13 +22,14 @@ from typing import Callable, Iterable
 
 from . import linrec, locator, pattern, sequences
 from .quadfield import NotIntegralError, NotRationalError
-from .sequences import AltTriple
 from .triangle import (
     DEFAULT_CELL_BUDGET,
+    Cell,
+    Row,
     binomial_row,
+    central_cell,
     generate_rows,
     largest_row_within,
-    row_cell_count,
     row_counts,
     row_sums,
 )
@@ -31,21 +38,21 @@ AGREEMENT_QS = (5, 6, 7, 10)
 AGREEMENT_N_MAX = 60
 
 # signed (A-part, B-part, total) row sums for q = 5, rows 0..12
-ALT_TABLE = [
-    AltTriple(0, 0, 1),
-    AltTriple(0, 0, 0),
-    AltTriple(-2, 0, 0),
-    AltTriple(-6, 2, -2),
-    AltTriple(0, 0, 0),
-    AltTriple(2, -2, 2),
-    AltTriple(2, -2, 2),
-    AltTriple(0, 0, 0),
-    AltTriple(2, -2, 2),
-    AltTriple(2, -2, 2),
-    AltTriple(0, 0, 0),
-    AltTriple(2, -2, 2),
-    AltTriple(2, -2, 2),
-]
+ALT_TABLE = (
+    (0, 0, 1),
+    (0, 0, 0),
+    (-2, 0, 0),
+    (-6, 2, -2),
+    (0, 0, 0),
+    (2, -2, 2),
+    (2, -2, 2),
+    (0, 0, 0),
+    (2, -2, 2),
+    (2, -2, 2),
+    (0, 0, 0),
+    (2, -2, 2),
+    (2, -2, 2),
+)
 
 
 @dataclass
@@ -63,6 +70,34 @@ def _ok(name: str, detail: str) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
+class RowReader:
+    """What one suite keeps of the rows it reads, never a row.
+
+    stream() calls feed(q, row) once for each row 0..last[q] of each q,
+    in order; feed keeps keep(row) in kept[q, n].
+    """
+
+    def __init__(self, last: dict[int, int], keep: Callable[[Row], object]) -> None:
+        self.last, self.keep, self.kept = last, keep, {}
+
+    def feed(self, q: int, row: Row) -> None:
+        self.kept[q, row.n] = self.keep(row)
+
+
+def stream(readers: list[RowReader]) -> None:
+    """Build each row once and hand it to every reader that keeps it."""
+    for q in sorted({q for r in readers for q in r.last}):
+        for row in generate_rows(q, max(r.last.get(q, -1) for r in readers)):
+            for r in readers:
+                if row.n <= r.last.get(q, -1):
+                    r.feed(q, row)
+
+
+def _alone(reader: RowReader) -> RowReader:
+    stream([reader])
+    return reader
+
+
 def euclidean_oracle() -> CheckResult:
     """q = 4 rows 0..20 are exactly Pascal's triangle, with no kind-B cells."""
     name = "euclidean-oracle"
@@ -74,9 +109,17 @@ def euclidean_oracle() -> CheckResult:
     return _ok(name, "q=4 rows 0..20 match binomials, zero kind-B cells")
 
 
-def three_way_agreement() -> CheckResult:
+def _count_and_sum_rows() -> RowReader:
+    """Counts and sums of each agreement q's rows inside the default budget."""
+    last = {q: largest_row_within(q, DEFAULT_CELL_BUDGET) for q in AGREEMENT_QS}
+    # row 0 has no winger pair, so no counts or sums
+    return RowReader(last, lambda row: row.n and (row_counts(row), row_sums(row)))
+
+
+def three_way_agreement(seen: RowReader | None = None) -> CheckResult:
     """Coupled, ternary and closed-form counts/sums agree, and match rows."""
     name = "three-way"
+    seen = seen or _alone(_count_and_sum_rows())
     for q in AGREEMENT_QS:
         for n in range(1, AGREEMENT_N_MAX + 1):
             c = sequences.counts_coupled(q, n)
@@ -89,33 +132,34 @@ def three_way_agreement() -> CheckResult:
                 return _fail(name, f"sum ternary/coupled mismatch at q={q} n={n}")
             if sequences.sums_closed(q, n) != s:
                 return _fail(name, f"sum closed/coupled mismatch at q={q} n={n}")
-    rows_checked = 0
-    for q in AGREEMENT_QS:
-        n_cap = largest_row_within(q, DEFAULT_CELL_BUDGET)
-        for row in generate_rows(q, n_cap):
-            if row.n < 1:
-                continue
-            if row_counts(row) != tuple(sequences.counts_coupled(q, row.n)):
-                return _fail(name, f"generated counts mismatch at q={q} n={row.n}")
-            if row_sums(row) != tuple(sequences.sums_coupled(q, row.n)):
-                return _fail(name, f"generated sums mismatch at q={q} n={row.n}")
-            rows_checked += 1
+    for (q, n), stats in seen.kept.items():  # q, then n, ascending
+        if not n:
+            continue
+        counts, sums = stats
+        if counts != tuple(sequences.counts_coupled(q, n)):
+            return _fail(name, f"generated counts mismatch at q={q} n={n}")
+        if sums != tuple(sequences.sums_coupled(q, n)):
+            return _fail(name, f"generated sums mismatch at q={q} n={n}")
     return _ok(
         name,
         f"q in {AGREEMENT_QS}: three routes agree for n=1..{AGREEMENT_N_MAX}; "
-        f"{rows_checked} generated rows match",
+        f"{sum(seen.last.values())} generated rows match",
     )
 
 
-def alternating_sums() -> CheckResult:
+def _signed_subsum_rows() -> RowReader:
+    return RowReader({5: 17}, sequences.alt_triple_from_row)
+
+
+def alternating_sums(seen: RowReader | None = None) -> CheckResult:
     """Alternating-sum table, closed description, and three-row stepping."""
     name = "alternating"
-    for row in generate_rows(5, 17):
-        triple = sequences.alt_triple_from_row(row)
-        if row.n <= 12 and triple != ALT_TABLE[row.n]:
-            return _fail(name, f"signed subsums at n={row.n}: {triple}")
-        if triple.total != sequences.alt_sum(row.n):
-            return _fail(name, f"alternating sum of generated row {row.n}")
+    seen = seen or _alone(_signed_subsum_rows())
+    for (_, n), triple in seen.kept.items():
+        if n <= 12 and triple != ALT_TABLE[n]:
+            return _fail(name, f"signed subsums at n={n}: {triple}")
+        if triple.total != sequences.alt_sum(n):
+            return _fail(name, f"alternating sum of generated row {n}")
     # step the signed subsums three rows at a time along both odd-length
     # residue chains; even-length rows (n = 3t+1) vanish by symmetry
     for start, seed in ((0, (0, 0)), (2, (-2, 0))):
@@ -133,9 +177,14 @@ def alternating_sums() -> CheckResult:
     return _ok(name, "table rows 0..12, generated rows 0..17, stepping to n=10^4")
 
 
-def parity() -> CheckResult:
+def _row_lengths() -> RowReader:
+    return RowReader({5: largest_row_within(5, DEFAULT_CELL_BUDGET)}, len)
+
+
+def parity(seen: RowReader | None = None) -> CheckResult:
     """Row-size parity rule: even exactly at n = 3t+1 (q = 5)."""
     name = "parity"
+    seen = seen or _alone(_row_lengths())
     c1, c2, c3 = 4, -4, 1
     x3, x2, x1 = 2, 3, 5  # s_1, s_2, s_3
     for n in range(1, 1001):
@@ -146,29 +195,41 @@ def parity() -> CheckResult:
             s = x1
         if s % 2 != sequences.parity_s(n):
             return _fail(name, f"ternary parity mismatch at n={n}")
-    n_cap = largest_row_within(5, DEFAULT_CELL_BUDGET)
-    for row in generate_rows(5, n_cap):
-        if row.n >= 1 and len(row) % 2 != sequences.parity_s(row.n):
-            return _fail(name, f"generated row length parity at n={row.n}")
-    return _ok(name, f"ternary n=1..1000 and generated rows 1..{n_cap}")
+    for (_, n), length in seen.kept.items():
+        if n and length % 2 != sequences.parity_s(n):
+            return _fail(name, f"generated row length parity at n={n}")
+    return _ok(name, f"ternary n=1..1000 and generated rows 1..{seen.last[5]}")
 
 
-def pattern_checks() -> CheckResult:
+def _pattern_rows() -> RowReader:
+    """Bit strings of q = 5 rows 0..16, central cells of rows 3k up to 18."""
+
+    def keep(row: Row) -> tuple[str | None, Cell | None]:
+        bits = pattern.pattern_bits(row) if row.n <= 16 else None
+        return bits, central_cell(row) if row.n % 3 == 0 else None
+
+    return RowReader({5: 18}, keep)
+
+
+def pattern_checks(seen: RowReader | None = None) -> CheckResult:
     """Pattern code value, difference recurrence, and repetition checks."""
     name = "pattern"
-    if pattern.pattern_int(3) != 21:
+    seen = seen or _alone(_pattern_rows())
+    bits, centres = zip(*seen.kept.values())  # by row index
+    codes = [int(b, 2) for b in bits[:16]]
+    if codes[3] != 21:
         return _fail(name, "pattern of row 3 must encode to 21")
     for n in range(3, 15):
-        if not pattern.check_pattern_recurrence(n):
+        if not pattern.recurrence_holds(n, codes[n - 2 : n + 2]):
             return _fail(name, f"pattern-difference recurrence fails at n={n}")
     for n in [0, *range(2, 16)]:
-        if not pattern.check_prefix(n):
+        if not pattern.prefix_holds(bits[n], bits[n + 1]):
             return _fail(name, f"prefix repetition fails at n={n}")
     for n in range(0, 13):
-        if not pattern.check_central_copy(n):
+        if not pattern.central_copy_holds(bits[n], bits[n + 3]):
             return _fail(name, f"central copy fails at n={n}")
     for k in range(1, 7):
-        if not pattern.check_central_value(k):
+        if not pattern.central_value_holds(k, centres[3 * k]):
             return _fail(name, f"central value 2^{k} fails at k={k}")
     return _ok(
         name,
@@ -177,31 +238,39 @@ def pattern_checks() -> CheckResult:
     )
 
 
-def locator_pairs() -> CheckResult:
+# (pair, row, column) of pairs whose cell is known
+LOCATOR_SPOTS = (
+    ((2, 3), 3, 2), ((3, 5), 4, 2), ((2, 2), 4, 4), ((4, 6), 6, 28)
+)
+
+
+class LocatorRows(RowReader):
+    """Places the coprime pairs up to 30, then the spot pairs, as rows go by."""
+
+    def __init__(self) -> None:
+        self.coprime = [
+            (u, v) for v in range(2, 31) for u in range(1, v) if math.gcd(u, v) == 1
+        ]
+        spots = [pair for pair, _, _ in LOCATOR_SPOTS]
+        self.scanner = locator.PairScanner([*self.coprime, *spots])
+        super().__init__({5: self.scanner.last_row}, self.scanner.feed)
+
+
+def locator_pairs(seen: LocatorRows | None = None) -> CheckResult:
     """Every in-budget coprime pair up to 30 scan-verifies, plus spot pairs."""
     name = "locator"
-    total = verified = skipped = 0
-    for v in range(2, 31):
-        for u in range(1, v):
-            if math.gcd(u, v) != 1:
-                continue
-            total += 1
-            row_index = locator.locate_row(u, v)
-            if row_cell_count(5, row_index, cap=DEFAULT_CELL_BUDGET) is None:
-                skipped += 1
-                continue
-            try:
-                loc = locator.locate_pair(u, v)
-            except locator.LocationFailure as exc:
-                return _fail(name, f"location failure: {exc}")
-            if loc.verified != locator.FULL_ROW:
-                return _fail(name, f"pair ({u},{v}) not verified")
-            verified += 1
+    seen = seen or _alone(LocatorRows())
+    total = len(seen.coprime)
+    outcomes = seen.scanner.outcomes
+    skipped = 0
+    for out in outcomes:
+        if isinstance(out, locator.LocationFailure):
+            return _fail(name, f"location failure: {out}")
+        skipped += out.verified == locator.UNVERIFIED
+    verified = total - skipped
     if verified < 0.9 * total:
         return _fail(name, f"only {verified}/{total} coprime pairs verified")
-    spots = [((2, 3), 3, 2), ((3, 5), 4, 2), ((2, 2), 4, 4), ((4, 6), 6, 28)]
-    for (u, v), want_row, want_col in spots:
-        loc = locator.locate_pair(u, v)
+    for ((u, v), want_row, want_col), loc in zip(LOCATOR_SPOTS, outcomes[total:]):
         if loc.verified != locator.FULL_ROW or (loc.row, loc.col) != (want_row, want_col):
             return _fail(
                 name, f"spot pair ({u},{v}): got row {loc.row} col {loc.col}"
@@ -307,7 +376,7 @@ def exactness() -> CheckResult:
     )
 
 
-SUITES: dict[str, Callable[[], CheckResult]] = {
+SUITES: dict[str, Callable[..., CheckResult]] = {
     "euclidean-oracle": euclidean_oracle,
     "three-way": three_way_agreement,
     "alternating": alternating_sums,
@@ -320,13 +389,26 @@ SUITES: dict[str, Callable[[], CheckResult]] = {
 }
 
 
+# the suites that read generated rows, and what each keeps of them
+ROW_READERS: dict[str, Callable[[], RowReader]] = {
+    "three-way": _count_and_sum_rows,
+    "alternating": _signed_subsum_rows,
+    "parity": _row_lengths,
+    "pattern": _pattern_rows,
+    "locator": LocatorRows,
+}
+
+
 def run(names: Iterable[str] | None = None) -> list[CheckResult]:
+    """Run the named suites (all by default), streaming their rows once."""
     picked = list(SUITES) if names is None else list(names)
-    results = []
     for suite_name in picked:
         if suite_name not in SUITES:
             raise ValueError(
                 f"unknown suite {suite_name!r}; choose from {', '.join(SUITES)}"
             )
-        results.append(SUITES[suite_name]())
-    return results
+    fed = {name: ROW_READERS[name]() for name in picked if name in ROW_READERS}
+    stream(list(fed.values()))
+    return [
+        SUITES[name](fed[name]) if name in fed else SUITES[name]() for name in picked
+    ]

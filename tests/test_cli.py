@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from hpascal import sequences
 from hpascal.cli import main
+from hpascal.quadfield import NotIntegralError, NotRationalError
+from hpascal.sequences import DegenerateDiscriminant
 
 
 def run(capsys, *argv):
@@ -171,3 +174,37 @@ def test_output_file(tmp_path, capsys):
     code = main(["rows", "--q", "5", "--n-max", "2", "-o", str(target)])
     assert code == 0
     assert target.read_text() == "1\n1,1\n1,2,1\n"
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize("exc", [
+    NotIntegralError("3/2 is not an integer"),
+    NotRationalError("1 + 1*sqrt(5) has a nonzero sqrt part"),
+])
+def test_inexact_closed_form_is_a_failed_check(capsys, monkeypatch, exc):
+    monkeypatch.setattr(sequences, "counts_closed", _raise(exc))
+    code, out, err = run(capsys, "counts", "--q", "5", "--n", "3", "--method", "closed")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {exc}\n"
+
+
+def test_weighted_sum_parity_mismatch_is_a_failed_check(capsys, monkeypatch):
+    # row 3 sums to 10, so an alternating sum of 1 leaves an odd split
+    monkeypatch.setattr(sequences, "alt_sum", lambda n: 1)
+    code, _, err = run(capsys, "altsum", "--n", "3", "--weights", "2", "3")
+    assert code == 1
+    assert err == "error: row sum and alternating sum disagree mod 2 at n=3\n"
+
+
+def test_degenerate_discriminant_stays_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(sequences, "sums_closed", _raise(DegenerateDiscriminant("no")))
+    code, _, err = run(capsys, "sums", "--q", "5", "--n", "3", "--method", "closed")
+    assert code == 2
+    assert err == "error: no\n"

@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from hpascal import triangle
 from hpascal.locator import (
     AS_GIVEN,
     FULL_ROW,
@@ -9,12 +11,27 @@ from hpascal.locator import (
     PairLocation,
     UNVERIFIED,
     DescentStep,
+    LocationFailure,
+    _scan,
     descent_trace,
     embed_recurrence,
     euclid_chain,
     locate_pair,
+    locate_pairs,
     locate_row,
 )
+from hpascal.triangle import nth_row
+
+
+def reference_scan(values, u, v):
+    """The plain cell-by-cell scan: leftmost (u, v), else leftmost (v, u)."""
+    for j in range(len(values) - 1):
+        if (values[j], values[j + 1]) == (u, v):
+            return j, AS_GIVEN
+    for j in range(len(values) - 1):
+        if (values[j], values[j + 1]) == (v, u):
+            return j, MIRRORED
+    return None
 
 
 def test_euclid_chain_examples():
@@ -124,6 +141,58 @@ def test_descent_trace_sums_to_row():
         assert sum(step.descend for step in steps) == locate_row(lo, hi)
 
 
+def test_descent_trace_sums_to_locate_row_up_to_60():
+    for v in range(1, 61):
+        for u in range(1, v + 1):
+            assert sum(s.descend for s in descent_trace(u, v)) == locate_row(u, v)
+
+
+def test_scan_matches_reference_including_mirror_hits():
+    rng = random.Random(5)
+    for _ in range(500):
+        values = [rng.randint(1, 4) for _ in range(rng.randint(0, 12))]
+        u, v = rng.randint(1, 5), rng.randint(1, 5)
+        assert _scan(values, u, v) == reference_scan(values, u, v), (values, u, v)
+    assert _scan([3, 1, 2, 3], 2, 1) == (1, MIRRORED)
+
+
+def test_locate_pairs_agrees_with_per_pair_scans():
+    budget = 10**5  # rows 0..12 of q = 5 fit
+    pairs = [(3, 5), (5, 3), (5, 8), (8, 5), (2, 2), (1, 7), (7, 1), (4, 6),
+             (6, 9), (13, 21), (5, 8), (12, 29), (29, 12), (30, 31), (10**6, 10**6 + 1)]
+    locs = locate_pairs(pairs, budget)
+    assert [(loc.u, loc.v) for loc in locs] == pairs
+    for (u, v), loc in zip(pairs, locs):
+        row = locate_row(min(u, v), max(u, v))
+        assert loc.row == row
+        assert loc.trace == descent_trace(min(u, v), max(u, v))
+        if triangle.row_cell_count(5, row, cap=budget) is None:
+            assert (loc.verified, loc.col, loc.orientation) == (UNVERIFIED, None, None)
+            continue
+        values = nth_row(5, row).values
+        assert (loc.col, loc.orientation) == reference_scan(values, u, v)
+        assert loc.verified == FULL_ROW
+        assert loc == locate_pair(u, v, budget)
+    assert sum(loc.verified == UNVERIFIED for loc in locs) == 2
+
+
+def test_locate_pairs_builds_each_row_once(built_rows):
+    locate_pairs([(5, 8), (2, 3), (8, 5), (3, 5), (1, 7)])
+    assert built_rows == [(5, n) for n in range(1, 8)]
+
+
+def test_locate_pairs_raises_the_first_failure_in_input_order(monkeypatch):
+    monkeypatch.setattr("hpascal.locator._scan", lambda values, u, v: None)
+    with pytest.raises(LocationFailure) as exc_info:
+        locate_pairs([(10**6, 10**6 + 1), (5, 8), (2, 3)], cell_budget=10**5)
+    assert (exc_info.value.u, exc_info.value.v, exc_info.value.row) == (5, 8, 5)
+
+
+def test_locate_pairs_rejects_nonpositive():
+    with pytest.raises(ValueError):
+        locate_pairs([(2, 3), (0, 5)])
+
+
 def test_descent_trace_alternates_sides():
     sides = [step.side for step in descent_trace(5, 8)]
     assert sides == ["left", "right", "left", "right"]
@@ -145,6 +214,12 @@ def test_embed_fibonacci_prefix():
     for loc in locs:
         assert loc.verified == FULL_ROW
         assert loc.value_kinds[1] == "A"
+
+
+def test_embed_recurrence_builds_each_row_once(built_rows):
+    locs = embed_recurrence(1, 2, 1, 14)
+    assert [loc.row for loc in locs] == list(range(2, 16))
+    assert built_rows == [(5, n) for n in range(1, 16)]
 
 
 def test_embed_pell_prefix():

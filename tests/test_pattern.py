@@ -1,6 +1,8 @@
 import pytest
 
 from hpascal.pattern import (
+    central_copy_holds,
+    central_value_holds,
     check_central_copy,
     check_central_value,
     check_pattern_recurrence,
@@ -10,25 +12,28 @@ from hpascal.pattern import (
     pattern_bits,
     pattern_diff,
     pattern_int,
+    prefix_holds,
+    recurrence_holds,
 )
 from hpascal.sequences import counts_ternary
+from hpascal.triangle import BudgetExceeded, central_cell
 
 
-def test_pattern_int_small_rows(rows_q5):
-    assert pattern_int(1, rows=rows_q5) == 3  # BB
-    assert pattern_int(2, rows=rows_q5) == 5  # BAB
-    assert pattern_int(3, rows=rows_q5) == 21  # BABAB
-    assert pattern_int(4, rows=rows_q5) == 693  # BABABBABAB
+def test_pattern_int_small_rows():
+    assert pattern_int(1) == 3  # BB
+    assert pattern_int(2) == 5  # BAB
+    assert pattern_int(3) == 21  # BABAB
+    assert pattern_int(4) == 693  # BABABBABAB
 
 
 def test_pattern_int_generates_when_no_rows_given():
     assert pattern_int(3) == 21
 
 
-def test_pattern_diffs(rows_q5):
-    assert pattern_diff(1, rows=rows_q5) == 2
-    assert pattern_diff(2, rows=rows_q5) == 16
-    assert pattern_diff(3, rows=rows_q5) == 672
+def test_pattern_diffs():
+    assert pattern_diff(1) == 2
+    assert pattern_diff(2) == 16
+    assert pattern_diff(3) == 672
 
 
 def test_growth_powers():
@@ -37,44 +42,44 @@ def test_growth_powers():
     assert growth_power(3) == 32
 
 
-def test_recurrence_anchor_case(rows_q5):
+def test_recurrence_anchor_case():
     # (32/4 + 32 + 4) * 16 - 4**2 * 2 = 672 exactly
-    assert check_pattern_recurrence(3, rows=rows_q5)
+    assert check_pattern_recurrence(3)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
-def test_recurrence_holds(rows_q5, n):
-    assert check_pattern_recurrence(n, rows=rows_q5)
+def test_recurrence_holds(n):
+    assert check_pattern_recurrence(n)
 
 
-def test_recurrence_below_range_rejected(rows_q5):
+def test_recurrence_below_range_rejected():
     with pytest.raises(ValueError):
-        check_pattern_recurrence(2, rows=rows_q5)
+        check_pattern_recurrence(2)
 
 
 @pytest.mark.parametrize("n", [0, *range(2, 12)])
-def test_prefix_repetition(rows_q5, n):
-    assert check_prefix(n, rows=rows_q5)
+def test_prefix_repetition(n):
+    assert check_prefix(n)
 
 
-def test_prefix_excluded_index(rows_q5):
+def test_prefix_excluded_index():
     with pytest.raises(ValueError):
-        check_prefix(1, rows=rows_q5)
+        check_prefix(1)
 
 
 @pytest.mark.parametrize("n", range(0, 10))
-def test_central_copy(rows_q5, n):
-    assert check_central_copy(n, rows=rows_q5)
+def test_central_copy(n):
+    assert check_central_copy(n)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-def test_central_value(rows_q5, k):
-    assert check_central_value(k, rows=rows_q5)
+def test_central_value(k):
+    assert check_central_value(k)
 
 
-def test_central_value_needs_positive_k(rows_q5):
+def test_central_value_needs_positive_k():
     with pytest.raises(ValueError):
-        check_central_value(0, rows=rows_q5)
+        check_central_value(0)
 
 
 def test_codes_are_palindromic_with_full_bit_length(rows_q5):
@@ -86,6 +91,21 @@ def test_codes_are_palindromic_with_full_bit_length(rows_q5):
         assert code.length == counts_ternary(5, row.n).s
 
 
-def test_supplied_rows_must_reach_requested_index(rows_q5):
-    with pytest.raises(ValueError):
-        pattern_int(20, rows=rows_q5)
+def test_requested_row_must_fit_the_budget():
+    with pytest.raises(BudgetExceeded):
+        pattern_int(20)
+    with pytest.raises(BudgetExceeded):
+        check_prefix(5, cell_budget=50)  # row 6 has 57 cells
+
+
+def test_laws_as_predicates(rows_q5):
+    bits = [pattern_bits(row) for row in rows_q5]
+    codes = [int(b, 2) for b in bits]
+    assert recurrence_holds(5, codes[3:7])
+    assert not recurrence_holds(5, [codes[3], codes[4], codes[5], codes[6] + 1])
+    assert prefix_holds(bits[4], bits[5])
+    assert not prefix_holds(bits[1], bits[2])  # the excluded index
+    assert central_copy_holds(bits[4], bits[7])
+    assert not central_copy_holds(bits[4], bits[8])
+    assert central_value_holds(2, central_cell(rows_q5[6]))
+    assert not central_value_holds(3, central_cell(rows_q5[6]))
