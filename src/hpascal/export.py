@@ -6,16 +6,20 @@ never carries numbers that might get read back as floats.
 
 from __future__ import annotations
 
-import json
 from typing import IO, Iterable
 
 from .triangle import DEFAULT_CELL_BUDGET, Row, TYPE_A, child_edges, generate_rows
 
 
+def _decimals(values: list[int]) -> Iterable[str]:
+    # kind-B cells copy their parent, so rows have few distinct values to convert
+    return map({v: str(v) for v in set(values)}.__getitem__, values)
+
+
 def write_csv(rows: Iterable[Row], fp: IO[str]) -> None:
     """One triangle row per line, comma-separated decimal values."""
     for row in rows:
-        fp.write(",".join(map(str, row.values)))
+        fp.write(",".join(_decimals(row.values)))
         fp.write("\n")
 
 
@@ -28,10 +32,11 @@ def row_as_json(row: Row) -> dict:
 
 
 def write_json(rows: Iterable[Row], fp: IO[str]) -> None:
-    """One JSON object {n, values, kinds} per line."""
+    """One JSON object {n, values, kinds} per line; no digit or kind needs escaping."""
     for row in rows:
-        fp.write(json.dumps(row_as_json(row), separators=(",", ":")))
-        fp.write("\n")
+        fp.write(f'{{"n":{row.n},"values":["')
+        fp.write('","'.join(_decimals(row.values)))
+        fp.write('"],"kinds":["' + '","'.join(row.kinds) + '"]}\n')
 
 
 def write_dot(

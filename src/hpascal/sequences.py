@@ -20,11 +20,11 @@ sum stabilises: it is 1 for row 0, vanishes for rows of even length
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from typing import NamedTuple
 
 from .quadfield import QuadElem
-from .triangle import Row, TYPE_A, TYPE_B, kind_mask
+from .triangle import Row, TYPE_A, TYPE_B, _coupled_counts, kind_mask
 
 
 class DegenerateDiscriminant(ValueError):
@@ -68,9 +68,7 @@ def _check_args(q: int, n: int) -> None:
 
 def counts_coupled(q: int, n: int) -> CountTriple:
     _check_args(q, n)
-    a = b = 0
-    for _ in range(n - 1):
-        a, b = a + b + 1, (q - 4) * a + (q - 3) * b
+    a, b = next(islice(_coupled_counts(q), n - 1, None))
     return CountTriple(a, b, a + b + 2)
 
 

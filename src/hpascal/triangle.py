@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from typing import Iterator, NamedTuple
 
 WINGER = "W"
@@ -126,6 +126,14 @@ def next_row(row: Row, q: int) -> Row:
     return Row(row.n + 1, out_vals, "".join(out_kinds))
 
 
+def _coupled_counts(q: int) -> Iterator[tuple[int, int]]:
+    """Kind-A and kind-B counts (a, b) of rows 1, 2, ...; row n has a + b + 2 cells."""
+    a = b = 0
+    while True:
+        yield a, b
+        a, b = a + b + 1, (q - 4) * a + (q - 3) * b
+
+
 def row_cell_count(q: int, n: int, cap: int | None = None) -> int | None:
     """Cell count of row n, or None once it exceeds cap (if given).
 
@@ -135,17 +143,12 @@ def row_cell_count(q: int, n: int, cap: int | None = None) -> int | None:
     _check_q(q)
     if n < 0:
         raise ValueError("row index must be nonnegative")
-    if n == 0:
-        return 1
-    a = b = 0
-    for k in range(1, n + 1):
+    s = 1
+    for a, b in islice(_coupled_counts(q), n):
         s = a + b + 2
         if cap is not None and s > cap:
             return None
-        if k == n:
-            return s
-        a, b = a + b + 1, (q - 4) * a + (q - 3) * b
-    raise AssertionError("unreachable")
+    return s
 
 
 def largest_row_within(q: int, cell_budget: int) -> int:
@@ -153,14 +156,9 @@ def largest_row_within(q: int, cell_budget: int) -> int:
     _check_q(q)
     if cell_budget < 1:
         raise ValueError("cell budget must be positive")
-    a = b = 0
-    n = 1
-    while True:
-        s = a + b + 2
-        if s > cell_budget:
+    for n, (a, b) in enumerate(_coupled_counts(q), 1):
+        if a + b + 2 > cell_budget:
             return n - 1
-        a, b = a + b + 1, (q - 4) * a + (q - 3) * b
-        n += 1
 
 
 def generate_rows(
@@ -178,14 +176,12 @@ def generate_rows(
         raise ValueError("cell budget must be positive")
     row = initial_row()
     yield row
-    a = b = 0  # cell counts of the row about to be built
-    for n in range(1, n_max + 1):
+    for n, (a, b) in zip(range(1, n_max + 1), _coupled_counts(q)):
         size = a + b + 2
         if size > cell_budget:
             raise BudgetExceeded(n, size)
         row = next_row(row, q)
         yield row
-        a, b = a + b + 1, (q - 4) * a + (q - 3) * b
 
 
 def nth_row(q: int, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> Row:

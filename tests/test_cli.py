@@ -4,8 +4,10 @@ import pytest
 
 from hpascal import sequences
 from hpascal.cli import main
+from hpascal.export import row_as_json
 from hpascal.quadfield import NotIntegralError, NotRationalError
 from hpascal.sequences import DegenerateDiscriminant
+from hpascal.triangle import generate_rows
 
 
 def run(capsys, *argv):
@@ -70,6 +72,22 @@ def test_rows_json(capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert rows[2]["kinds"] == ["W", "A", "W"]
+
+
+@pytest.mark.parametrize("q, n_max", [(5, 12), (7, 7)])
+def test_rows_stdout_matches_reference_encoders(capsys, q, n_max):
+    rows = list(generate_rows(q, n_max))
+    argv = ("rows", "--q", str(q), "--n-max", str(n_max), "--format")
+    code, out, err = run(capsys, *argv, "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines(keepends=True) == [
+        ",".join(map(str, row.values)) + "\n" for row in rows
+    ]
+    code, out, err = run(capsys, *argv, "json")
+    assert (code, err) == (0, "")
+    assert out.splitlines(keepends=True) == [
+        json.dumps(row_as_json(row), separators=(",", ":")) + "\n" for row in rows
+    ]
 
 
 def test_rows_dot(capsys):

@@ -1,8 +1,30 @@
 import io
 import json
 
+import pytest
+
 from hpascal.export import row_as_json, write_csv, write_dot, write_json
-from hpascal.triangle import generate_rows
+from hpascal.triangle import generate_rows, largest_row_within, nth_row
+
+
+def csv_reference(rows):
+    return [",".join(map(str, row.values)) + "\n" for row in rows]
+
+
+def json_reference(rows):
+    return [json.dumps(row_as_json(row), separators=(",", ":")) + "\n" for row in rows]
+
+
+def written(writer, rows):
+    """The writer's output split after each newline, to compare line by line."""
+    buf = io.StringIO()
+    writer(rows, buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+WRITERS = pytest.mark.parametrize(
+    "writer, reference", [(write_csv, csv_reference), (write_json, json_reference)]
+)
 
 
 def test_csv_rows():
@@ -51,3 +73,27 @@ def test_dot_is_deterministic():
     write_dot(5, 4, first)
     write_dot(5, 4, second)
     assert first.getvalue() == second.getvalue()
+
+
+@WRITERS
+def test_rows_0_and_1_match_reference_encoders(writer, reference):
+    row0, row1 = generate_rows(5, 1)
+    for rows in ([row0], [row1], [row0, row1]):
+        assert written(writer, rows) == reference(rows)
+
+
+@WRITERS
+@pytest.mark.parametrize("q", range(4, 13))
+def test_every_row_in_a_small_budget_matches_reference_encoders(writer, reference, q):
+    rows = list(generate_rows(q, largest_row_within(q, 500), 500))
+    assert written(writer, rows) == reference(rows)
+
+
+@WRITERS
+def test_repeated_many_digit_values_match_reference_encoders(writer, reference, rows_q5):
+    binomials = nth_row(4, 60)  # every value but the centre twice, up to 18 digits
+    assert len(set(binomials.values)) == 31 and max(binomials.values) > 10**17
+    row15 = rows_q5[15]  # 317,813 cells, 734 distinct values up to 987
+    assert len(set(row15.values)) == 734 and max(row15.values) == 987
+    for rows in ([binomials], [row15], [binomials, row15]):
+        assert written(writer, rows) == reference(rows)

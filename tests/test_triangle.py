@@ -1,6 +1,10 @@
-import pytest
+from itertools import islice
 
-from hpascal import sequences
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hpascal import sequences, triangle
 from hpascal.triangle import (
     BudgetExceeded,
     Cell,
@@ -169,3 +173,26 @@ def test_row_cell_count_matches_generation(rows_q5):
 def test_largest_row_within():
     assert largest_row_within(5, 100) == 6
     assert largest_row_within(5, 1) == 0
+
+
+@given(q=st.integers(4, 30), n=st.integers(1, 300))
+def test_coupled_counts_agree_with_ternary_route(q, n):
+    ternary = sequences.counts_ternary(q, n)
+    a, b = next(islice(triangle._coupled_counts(q), n - 1, None))
+    assert (a, b, a + b + 2) == ternary == sequences.counts_coupled(q, n)
+    assert row_cell_count(q, n) == ternary.s
+
+
+@settings(deadline=None)
+@given(q=st.integers(4, 30), budget=st.integers(1, 500))
+def test_coupled_counts_agree_with_generated_rows(q, budget):
+    top = largest_row_within(q, budget)
+    rows = []
+    with pytest.raises(BudgetExceeded) as exc_info:
+        for row in generate_rows(q, top + 1, budget):
+            rows.append(row)
+    assert exc_info.value.row == top + 1 == len(rows)
+    assert exc_info.value.size == row_cell_count(q, top + 1) > budget
+    assert len(rows[-1]) <= budget
+    for row, (a, b) in zip(rows[1:], triangle._coupled_counts(q)):
+        assert row_counts(row) == (a, b, a + b + 2)
