@@ -8,6 +8,7 @@ a failed check), 2 usage error, 3 cell budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -54,18 +55,15 @@ def cmd_rows(args) -> int:
 
 
 def _triple_by_method(kind: str, q: int, n: int, method: str, budget: int):
-    table = {
-        ("counts", "coupled"): sequences.counts_coupled,
-        ("counts", "ternary"): sequences.counts_ternary,
-        ("counts", "closed"): sequences.counts_closed,
-        ("sums", "coupled"): sequences.sums_coupled,
-        ("sums", "ternary"): sequences.sums_ternary,
-        ("sums", "closed"): sequences.sums_closed,
-    }
     if method == "generate":
         row = nth_row(q, n, budget)
         return (row_counts if kind == "counts" else row_sums)(row)
-    return tuple(table[(kind, method)](q, n))
+    return tuple(getattr(sequences, f"{kind}_{method}")(q, n))
+
+
+def _verdict(fp, agree: bool) -> int:
+    fp.write(f"cross-check: {'OK' if agree else 'MISMATCH'}\n")
+    return EXIT_OK if agree else EXIT_FAIL
 
 
 def _run_triple_command(kind: str, args) -> int:
@@ -79,16 +77,11 @@ def _run_triple_command(kind: str, args) -> int:
                 m: _triple_by_method(kind, args.q, args.n, m, args.budget)
                 for m in methods
             }
-            distinct = set(results.values())
             for m, triple in results.items():
                 fp.write(
                     f"{m}: " + " ".join(f"{k}={v}" for k, v in zip(keys, triple)) + "\n"
                 )
-            if len(distinct) != 1:
-                fp.write("cross-check: MISMATCH\n")
-                return EXIT_FAIL
-            fp.write("cross-check: OK\n")
-            return EXIT_OK
+            return _verdict(fp, len(set(results.values())) == 1)
         triple = _triple_by_method(kind, args.q, args.n, args.method, args.budget)
         if args.json:
             obj = {"q": args.q, "n": args.n}
@@ -97,14 +90,6 @@ def _run_triple_command(kind: str, args) -> int:
         else:
             fp.write(" ".join(f"{k}={v}" for k, v in zip(keys, triple)) + "\n")
     return EXIT_OK
-
-
-def cmd_counts(args) -> int:
-    return _run_triple_command("counts", args)
-
-
-def cmd_sums(args) -> int:
-    return _run_triple_command("sums", args)
 
 
 def cmd_altsum(args) -> int:
@@ -123,11 +108,7 @@ def cmd_altsum(args) -> int:
             else:
                 direct = sequences.alt_triple_from_row(row).total
             fp.write(f"formula: {value}\nrow: {direct}\n")
-            if direct != value:
-                fp.write("cross-check: MISMATCH\n")
-                return EXIT_FAIL
-            fp.write("cross-check: OK\n")
-            return EXIT_OK
+            return _verdict(fp, direct == value)
         if args.json:
             _print_json({"n": args.n, "value": str(value)}, fp)
         else:
@@ -166,24 +147,16 @@ def _location_as_json(loc: locator.PairLocation) -> dict:
 
 def cmd_locate(args) -> int:
     with _open_out(args.output) as fp:
-        try:
-            loc = locator.locate_pair(args.u, args.v, args.budget)
-        except locator.LocationFailure as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
+        loc = locator.locate_pair(args.u, args.v, args.budget)
         _print_json(_location_as_json(loc), fp)
     return EXIT_OK
 
 
 def cmd_embed(args) -> int:
     with _open_out(args.output) as fp:
-        try:
-            locs = locator.embed_recurrence(
-                args.f0, args.f1, args.eta, args.terms, args.budget
-            )
-        except locator.LocationFailure as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
+        locs = locator.embed_recurrence(
+            args.f0, args.f1, args.eta, args.terms, args.budget
+        )
         for loc in locs:
             _print_json(_location_as_json(loc), fp)
     return EXIT_OK
@@ -236,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_rows)
 
-    for kind, func in (("counts", cmd_counts), ("sums", cmd_sums)):
+    for kind in ("counts", "sums"):
         p = sub.add_parser(kind, help=f"per-row {kind} by any method")
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
@@ -248,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cross-check", action="store_true")
         p.add_argument("--json", action="store_true")
         add_common(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=functools.partial(_run_triple_command, kind))
 
     p = sub.add_parser("altsum", help="alternating or weighted row sum (q=5)")
     p.add_argument("--n", type=int, required=True)
@@ -307,7 +280,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (NotIntegralError, NotRationalError, ArithmeticError) as exc:
+    except (
+        locator.LocationFailure, NotIntegralError, NotRationalError, ArithmeticError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:

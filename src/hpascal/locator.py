@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .triangle import DEFAULT_CELL_BUDGET, Row, generate_rows, row_cell_count
+from .triangle import DEFAULT_CELL_BUDGET, Row, generate_rows, largest_row_within
 
 FULL_ROW = "full-row"
 UNVERIFIED = "unverified"
@@ -190,7 +190,8 @@ class PairScanner:
     to last_row; each row is searched for every pair predicted in it.
     outcomes[i] is then the PairLocation of the i-th pair, or the
     LocationFailure of a pair missing from its fully scanned row.  Pairs
-    whose row exceeds the budget are UNVERIFIED from the start.
+    whose row exceeds the budget are UNVERIFIED from the start; a budget
+    that is not positive raises ValueError.
     """
 
     def __init__(
@@ -198,12 +199,13 @@ class PairScanner:
     ) -> None:
         self.outcomes: list[PairLocation | LocationFailure | None] = []
         self._waiting: dict[int, list[tuple]] = {}  # row -> (index, u, v, trace)
+        in_budget = largest_row_within(5, cell_budget)
         for i, (u, v) in enumerate(pairs):
             if u < 1 or v < 1:
                 raise ValueError(f"both values must be positive, got ({u}, {v})")
             trace = descent_trace(min(u, v), max(u, v))
             row_index = sum(step.descend for step in trace)
-            if row_cell_count(5, row_index, cap=cell_budget) is None:
+            if row_index > in_budget:
                 self.outcomes.append(
                     PairLocation(u, v, row_index, None, UNVERIFIED, None, None, trace)
                 )

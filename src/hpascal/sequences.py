@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, islice
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .quadfield import QuadElem
 from .triangle import Row, TYPE_A, TYPE_B, _coupled_counts, kind_mask
@@ -80,33 +80,37 @@ def sums_coupled(q: int, n: int) -> SumTriple:
     return SumTriple(a, b, a + b + 2)
 
 
-def _ternary(initial: tuple[int, int, int], c1: int, c2: int, c3: int, n: int) -> int:
-    if n <= 3:
-        return initial[n - 1]
-    x3, x2, x1 = initial
-    for _ in range(n - 3):
-        x3, x2, x1 = x2, x1, c1 * x1 + c2 * x2 + c3 * x3
-    return x1
+def _ternary(initial: tuple[int, int, int], c1: int, c2: int, c3: int) -> Iterator[int]:
+    """Terms x_1, x_2, ... of x[n] = c1 x[n-1] + c2 x[n-2] + c3 x[n-3] from x_1..x_3."""
+    x1, x2, x3 = initial
+    while True:
+        yield x1
+        x1, x2, x3 = x2, x3, c1 * x3 + c2 * x2 + c3 * x1
 
 
+def _count_streams(q: int) -> list[Iterator[int]]:
+    """Ternary streams of a, b and s over rows 1, 2, ..."""
+    seeds = ((0, 1, 2), (0, 0, q - 4), (2, 3, q))  # rows 1..3
+    return [_ternary(x, q - 1, -(q - 1), 1) for x in seeds]
+
+
+def _ternary_counts(q: int) -> Iterator[CountTriple]:
+    """Counts of rows 1, 2, ... by the ternary route (twin of _coupled_counts)."""
+    return map(CountTriple, *_count_streams(q))
+
+
+# counts_ternary and sums_ternary run each stream to row n on its own: stepping
+# the three together, a triple per row, is slower on the `sequences` benchmark
 def counts_ternary(q: int, n: int) -> CountTriple:
     _check_args(q, n)
-    c1, c2, c3 = q - 1, -(q - 1), 1
-    return CountTriple(
-        _ternary((0, 1, 2), c1, c2, c3, n),
-        _ternary((0, 0, q - 4), c1, c2, c3, n),
-        _ternary((2, 3, q), c1, c2, c3, n),
-    )
+    return CountTriple(*(next(islice(s, n - 1, None)) for s in _count_streams(q)))
 
 
 def sums_ternary(q: int, n: int) -> SumTriple:
     _check_args(q, n)
-    c1, c2, c3 = q, -(q + 1), 2
-    return SumTriple(
-        _ternary((0, 2, 6), c1, c2, c3, n),
-        _ternary((0, 0, 2 * (q - 4)), c1, c2, c3, n),
-        _ternary((2, 4, 2 * q), c1, c2, c3, n),
-    )
+    seeds = ((0, 2, 6), (0, 0, 2 * (q - 4)), (2, 4, 2 * q))  # rows 1..3
+    streams = (_ternary(x, q, -(q + 1), 2) for x in seeds)
+    return SumTriple(*(next(islice(s, n - 1, None)) for s in streams))
 
 
 def _closed(coef: QuadElem, root_power: QuadElem, shift: int) -> int:

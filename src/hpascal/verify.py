@@ -6,10 +6,10 @@ Everything is exact integer or rational arithmetic; a single mismatch
 anywhere fails the suite and is named in the detail string.
 
 The suites that read generated rows (three-way, alternating, parity,
-pattern, locator) each have a row consumer that keeps small per-row
-results, never rows.  `run` builds every row those suites read once, in
-one stream per q, and hands it to each consumer that reads it; a suite
-called on its own streams just its own rows.
+pattern, locator) each take a row reader that keeps small per-row
+results, never rows.  A suite runs through `run([name])`, which streams
+only that suite's rows; `run` builds every row the named suites read
+once, in one stream per q, and hands it to each reader that reads it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable
 
 from . import linrec, locator, pattern, sequences
@@ -93,11 +94,6 @@ def stream(readers: list[RowReader]) -> None:
                     r.feed(q, row)
 
 
-def _alone(reader: RowReader) -> RowReader:
-    stream([reader])
-    return reader
-
-
 def euclidean_oracle() -> CheckResult:
     """q = 4 rows 0..20 are exactly Pascal's triangle, with no kind-B cells."""
     name = "euclidean-oracle"
@@ -116,10 +112,9 @@ def _count_and_sum_rows() -> RowReader:
     return RowReader(last, lambda row: row.n and (row_counts(row), row_sums(row)))
 
 
-def three_way_agreement(seen: RowReader | None = None) -> CheckResult:
+def three_way_agreement(seen: RowReader) -> CheckResult:
     """Coupled, ternary and closed-form counts/sums agree, and match rows."""
     name = "three-way"
-    seen = seen or _alone(_count_and_sum_rows())
     for q in AGREEMENT_QS:
         for n in range(1, AGREEMENT_N_MAX + 1):
             c = sequences.counts_coupled(q, n)
@@ -151,10 +146,9 @@ def _signed_subsum_rows() -> RowReader:
     return RowReader({5: 17}, sequences.alt_triple_from_row)
 
 
-def alternating_sums(seen: RowReader | None = None) -> CheckResult:
+def alternating_sums(seen: RowReader) -> CheckResult:
     """Alternating-sum table, closed description, and three-row stepping."""
     name = "alternating"
-    seen = seen or _alone(_signed_subsum_rows())
     for (_, n), triple in seen.kept.items():
         if n <= 12 and triple != ALT_TABLE[n]:
             return _fail(name, f"signed subsums at n={n}: {triple}")
@@ -181,19 +175,11 @@ def _row_lengths() -> RowReader:
     return RowReader({5: largest_row_within(5, DEFAULT_CELL_BUDGET)}, len)
 
 
-def parity(seen: RowReader | None = None) -> CheckResult:
+def parity(seen: RowReader) -> CheckResult:
     """Row-size parity rule: even exactly at n = 3t+1 (q = 5)."""
     name = "parity"
-    seen = seen or _alone(_row_lengths())
-    c1, c2, c3 = 4, -4, 1
-    x3, x2, x1 = 2, 3, 5  # s_1, s_2, s_3
-    for n in range(1, 1001):
-        if n <= 3:
-            s = (2, 3, 5)[n - 1]
-        else:
-            x3, x2, x1 = x2, x1, c1 * x1 + c2 * x2 + c3 * x3
-            s = x1
-        if s % 2 != sequences.parity_s(n):
+    for n, counts in enumerate(islice(sequences._ternary_counts(5), 1000), 1):
+        if counts.s % 2 != sequences.parity_s(n):
             return _fail(name, f"ternary parity mismatch at n={n}")
     for (_, n), length in seen.kept.items():
         if n and length % 2 != sequences.parity_s(n):
@@ -211,10 +197,9 @@ def _pattern_rows() -> RowReader:
     return RowReader({5: 18}, keep)
 
 
-def pattern_checks(seen: RowReader | None = None) -> CheckResult:
+def pattern_checks(seen: RowReader) -> CheckResult:
     """Pattern code value, difference recurrence, and repetition checks."""
     name = "pattern"
-    seen = seen or _alone(_pattern_rows())
     bits, centres = zip(*seen.kept.values())  # by row index
     codes = [int(b, 2) for b in bits[:16]]
     if codes[3] != 21:
@@ -256,10 +241,9 @@ class LocatorRows(RowReader):
         super().__init__({5: self.scanner.last_row}, self.scanner.feed)
 
 
-def locator_pairs(seen: LocatorRows | None = None) -> CheckResult:
+def locator_pairs(seen: LocatorRows) -> CheckResult:
     """Every in-budget coprime pair up to 30 scan-verifies, plus spot pairs."""
     name = "locator"
-    seen = seen or _alone(LocatorRows())
     total = len(seen.coprime)
     outcomes = seen.scanner.outcomes
     skipped = 0

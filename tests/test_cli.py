@@ -226,3 +226,57 @@ def test_degenerate_discriminant_stays_a_usage_error(capsys, monkeypatch):
     code, _, err = run(capsys, "sums", "--q", "5", "--n", "3", "--method", "closed")
     assert code == 2
     assert err == "error: no\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("locate", "--u", "2", "--v", "3"),
+     "error: pair (2, 3) not adjacent anywhere in row 3\n"),
+    (("embed", "--f0", "1", "--f1", "2", "--eta", "1", "--terms", "3"),
+     "error: pair (1, 2) not adjacent anywhere in row 2\n"),
+])
+def test_pair_missing_from_its_row_is_a_failed_check(capsys, monkeypatch, argv, err):
+    monkeypatch.setattr("hpascal.locator._scan", lambda values, u, v: None)
+    assert run(capsys, *argv) == (1, "", err)
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("rows", "--q", "5", "--n-max", "3"),
+    ("pattern", "--n", "3"),
+    ("locate", "--u", "2", "--v", "3"),
+    ("embed", "--f0", "1", "--f1", "2", "--eta", "1", "--terms", "3"),
+], ids=lambda argv: argv[0])
+def test_nonpositive_budget_is_a_usage_error(capsys, argv, budget):
+    assert run(capsys, *argv, "--budget", budget) == (
+        2, "", "error: cell budget must be positive\n"
+    )
+
+
+@pytest.mark.parametrize("kind, wrong, out", [
+    ("counts", (22, 33, 58),
+     "coupled: a=22 b=33 s=57\n"
+     "ternary: a=22 b=33 s=58\n"
+     "closed: a=22 b=33 s=57\n"
+     "generate: a=22 b=33 s=57\n"
+     "cross-check: MISMATCH\n"),
+    ("sums", (194, 134, 331),
+     "coupled: sumA=194 sumB=134 sum=330\n"
+     "ternary: sumA=194 sumB=134 sum=331\n"
+     "closed: sumA=194 sumB=134 sum=330\n"
+     "generate: sumA=194 sumB=134 sum=330\n"
+     "cross-check: MISMATCH\n"),
+])
+def test_cross_check_mismatch_is_a_failed_check(capsys, monkeypatch, kind, wrong, out):
+    monkeypatch.setattr(sequences, f"{kind}_ternary", lambda q, n: wrong)
+    assert run(capsys, kind, "--q", "5", "--n", "6", "--cross-check") == (1, out, "")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("--n", "7"), "formula: 2\nrow: 0\ncross-check: MISMATCH\n"),
+    # row 3: sum 10, alternating sum -2 (patched to 0), weighted sum 26
+    (("--n", "3", "--weights", "2", "3"), "formula: 25\nrow: 26\ncross-check: MISMATCH\n"),
+])
+def test_altsum_cross_check_mismatch_is_a_failed_check(capsys, monkeypatch, argv, out):
+    original = sequences.alt_sum
+    monkeypatch.setattr(sequences, "alt_sum", lambda n: original(n) + 2)
+    assert run(capsys, "altsum", *argv, "--cross-check") == (1, out, "")

@@ -193,6 +193,12 @@ def test_locate_pairs_rejects_nonpositive():
         locate_pairs([(2, 3), (0, 5)])
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_locate_pairs_rejects_a_nonpositive_budget(budget):
+    with pytest.raises(ValueError, match="cell budget must be positive"):
+        locate_pairs([(2, 3)], cell_budget=budget)
+
+
 def test_descent_trace_alternates_sides():
     sides = [step.side for step in descent_trace(5, 8)]
     assert sides == ["left", "right", "left", "right"]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hpascal import triangle, verify
+from hpascal import sequences, triangle, verify
 
 ROW_SUITES = ["three-way", "alternating", "parity", "pattern", "locator"]
 
@@ -58,3 +58,16 @@ def test_a_failing_row_is_named(monkeypatch):
     (result,) = verify.run(["three-way"])
     assert not result.passed
     assert result.detail == "generated sums mismatch at q=5 n=7"
+
+
+def test_all_suites_report_the_seed_details(expected_details):
+    assert [(r.name, r.passed, r.detail) for r in verify.run()] == [
+        (name, True, detail) for name, detail in expected_details.items()
+    ]
+
+
+def test_a_parity_failure_names_its_row(monkeypatch):
+    original = sequences.parity_s
+    monkeypatch.setattr(sequences, "parity_s", lambda n: original(n) ^ (n == 700))
+    (result,) = verify.run(["parity"])
+    assert (result.passed, result.detail) == (False, "ternary parity mismatch at n=700")
