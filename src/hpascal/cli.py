@@ -276,6 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # here, so every command that takes a budget rejects it, whatever its route
+        if getattr(args, "budget", 1) < 1:
+            raise ValueError("cell budget must be positive")
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

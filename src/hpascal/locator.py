@@ -24,10 +24,21 @@ ride the same machinery: their consecutive pairs sit eta rows apart.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .triangle import DEFAULT_CELL_BUDGET, Row, generate_rows, largest_row_within
+from . import triangle
+
+# generate_rows is not called here; it stays a module attribute for tools
+# that wrap the row stream of each module by name
+from .triangle import (
+    DEFAULT_CELL_BUDGET,
+    Row,
+    generate_rows,
+    initial_row,
+    largest_row_within,
+)
 
 FULL_ROW = "full-row"
 UNVERIFIED = "unverified"
@@ -227,18 +238,32 @@ class PairScanner:
             )
 
 
+# The q = 5 rows built so far by this process, row n at index n.  The list
+# only grows, under the lock, and never past the last row a call's budget
+# admits, so what it holds changes how fast a call answers, never what.
+_rows: list[Row] = [initial_row()]
+_rows_lock = threading.Lock()
+
+
+def _q5_rows(last: int) -> list[Row]:
+    """Rows 0..last of the q = 5 triangle, building each at most once per process."""
+    with _rows_lock:
+        while len(_rows) <= last:
+            _rows.append(triangle.next_row(_rows[-1], 5))
+        return _rows[: last + 1]
+
+
 def locate_pairs(
     pairs: Iterable[tuple[int, int]], cell_budget: int = DEFAULT_CELL_BUDGET
 ) -> list[PairLocation]:
-    """Locate many pairs in one pass, building each q = 5 row at most once.
+    """Locate many pairs in one pass, building each q = 5 row at most once per process.
 
     Locations come back in input order; a pair missing from its scanned
     row raises LocationFailure, the first such pair in input order.
     """
     scanner = PairScanner(pairs, cell_budget)
-    if scanner.last_row >= 0:
-        for row in generate_rows(5, scanner.last_row, cell_budget):
-            scanner.feed(row)
+    for row in _q5_rows(scanner.last_row):
+        scanner.feed(row)
     for out in scanner.outcomes:
         if isinstance(out, LocationFailure):
             raise out

@@ -97,14 +97,10 @@ def next_row(row: Row, q: int) -> Row:
 
     a_fill = q - 4
     b_fill = q - 3
-    a_fill_kinds = TYPE_B * a_fill
-    b_fill_kinds = TYPE_B * b_fill
 
     out_vals: list[int] = [1]
-    out_kinds: list[str] = [WINGER]
     append_val = out_vals.append
     extend_vals = out_vals.extend
-    append_kinds = out_kinds.append
 
     prev = vals[0]
     for i in range(1, m):
@@ -113,17 +109,18 @@ def next_row(row: Row, q: int) -> Row:
             if kinds[i - 1] == TYPE_A:
                 if a_fill:
                     extend_vals([prev] * a_fill)
-                    append_kinds(a_fill_kinds)
             else:
                 extend_vals([prev] * b_fill)
-                append_kinds(b_fill_kinds)
         cur = vals[i]
         append_val(prev + cur)
-        append_kinds(TYPE_A)
         prev = cur
     append_val(1)
-    append_kinds(WINGER)
-    return Row(row.n + 1, out_vals, "".join(out_kinds))
+    # each inner parent's kind-B children and then its right merge, in one pass
+    children = str.maketrans(
+        {TYPE_A: TYPE_B * a_fill + TYPE_A, TYPE_B: TYPE_B * b_fill + TYPE_A}
+    )
+    inner = kinds[1:-1].translate(children)
+    return Row(row.n + 1, out_vals, f"{WINGER}{TYPE_A}{inner}{WINGER}")
 
 
 def _coupled_counts(q: int) -> Iterator[tuple[int, int]]:

@@ -1,7 +1,7 @@
 import pytest
 
-from hpascal import triangle
-from hpascal.triangle import generate_rows
+from hpascal import locator, triangle
+from hpascal.triangle import generate_rows, initial_row
 
 
 @pytest.fixture(scope="session")
@@ -11,8 +11,16 @@ def rows_q5():
 
 
 @pytest.fixture
-def built_rows(monkeypatch):
-    """(q, n) of every row next_row builds while the test runs."""
+def locator_rows(monkeypatch):
+    """An empty locator memo (row 0 only) for the test; the process's own is restored after."""
+    rows = [initial_row()]
+    monkeypatch.setattr(locator, "_rows", rows)
+    return rows
+
+
+@pytest.fixture
+def built_rows(monkeypatch, locator_rows):
+    """(q, n) of every row next_row builds while the test runs, from an empty locator memo."""
     built = []
     original = triangle.next_row
 

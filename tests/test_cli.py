@@ -245,6 +245,14 @@ def test_pair_missing_from_its_row_is_a_failed_check(capsys, monkeypatch, argv, 
     ("pattern", "--n", "3"),
     ("locate", "--u", "2", "--v", "3"),
     ("embed", "--f0", "1", "--f1", "2", "--eta", "1", "--terms", "3"),
+    *(pytest.param((kind, "--q", "5", "--n", "3", "--method", m), id=f"{kind}-{m}")
+      for kind in ("counts", "sums")
+      for m in ("coupled", "ternary", "closed", "generate")),
+    pytest.param(("counts", "--q", "5", "--n", "3", "--cross-check"), id="counts-cross-check"),
+    pytest.param(("sums", "--q", "5", "--n", "3", "--json"), id="sums-json"),
+    pytest.param(("altsum", "--n", "3"), id="altsum"),
+    pytest.param(("altsum", "--n", "3", "--weights", "2", "3"), id="altsum-weights"),
+    pytest.param(("altsum", "--n", "3", "--cross-check"), id="altsum-cross-check"),
 ], ids=lambda argv: argv[0])
 def test_nonpositive_budget_is_a_usage_error(capsys, argv, budget):
     assert run(capsys, *argv, "--budget", budget) == (

@@ -1,9 +1,11 @@
 import math
 import random
+import sys
+import threading
 
 import pytest
 
-from hpascal import triangle
+from hpascal import locator, triangle
 from hpascal.locator import (
     AS_GIVEN,
     FULL_ROW,
@@ -157,7 +159,7 @@ def test_scan_matches_reference_including_mirror_hits():
 
 
 def test_locate_pairs_agrees_with_per_pair_scans():
-    budget = 10**5  # rows 0..12 of q = 5 fit
+    budget = 10**5  # rows 0..13 of q = 5 fit
     pairs = [(3, 5), (5, 3), (5, 8), (8, 5), (2, 2), (1, 7), (7, 1), (4, 6),
              (6, 9), (13, 21), (5, 8), (12, 29), (29, 12), (30, 31), (10**6, 10**6 + 1)]
     locs = locate_pairs(pairs, budget)
@@ -179,6 +181,86 @@ def test_locate_pairs_agrees_with_per_pair_scans():
 def test_locate_pairs_builds_each_row_once(built_rows):
     locate_pairs([(5, 8), (2, 3), (8, 5), (3, 5), (1, 7)])
     assert built_rows == [(5, n) for n in range(1, 8)]
+
+
+# in-budget, over-budget, reversed and repeated pairs, rows up to 15
+MIXED_BATCH = [(5, 8), (8, 5), (1, 15), (14, 15), (10**6, 10**6 + 1), (2, 3),
+               (5, 8), (13, 21), (21, 13), (13, 14), (3, 2), (12, 25)]
+
+
+def test_a_second_call_builds_no_rows(built_rows):
+    first = locate_pairs(MIXED_BATCH)
+    assert built_rows == [(5, n) for n in range(1, 16)]
+    built_rows.clear()
+    assert locate_pairs(MIXED_BATCH) == first
+    assert locate_pair(13, 14) == first[9]
+    assert built_rows == []
+
+
+def test_cold_and_warm_memos_give_equal_locations(locator_rows):
+    cold = locate_pairs(MIXED_BATCH)
+    cold_small = locate_pairs(MIXED_BATCH, cell_budget=10**5)
+    locate_pair(1, 16)  # the memo now holds more rows than either batch reads
+    assert len(locator_rows) == 17
+    assert locate_pairs(MIXED_BATCH) == cold
+    assert locate_pairs(MIXED_BATCH, cell_budget=10**5) == cold_small
+    assert [loc.verified for loc in cold].count(UNVERIFIED) == 1
+    assert [loc.verified for loc in cold_small].count(UNVERIFIED) == 5
+
+
+def test_a_smaller_budget_after_a_default_call_builds_no_rows(built_rows):
+    locate_pairs([(1, 15), (14, 15)])
+    built_rows.clear()
+    locs = locate_pairs([(1, 15), (2, 3), (13, 14), (12, 13)], cell_budget=10**5)
+    assert built_rows == []
+    assert [loc.row for loc in locs] == [15, 3, 14, 13]
+    for loc in (locs[0], locs[2]):  # rows 14 and 15 exceed 10**5 cells
+        assert (loc.verified, loc.col, loc.orientation) == (UNVERIFIED, None, None)
+    assert locs[1].verified == locs[3].verified == FULL_ROW
+
+
+def test_every_stored_row_sits_at_its_own_index(locator_rows):
+    locate_pairs([(3, 5)])
+    embed_recurrence(1, 2, 1, 10)
+    locate_pair(2, 3)
+    assert len(locator_rows) == 12
+    assert all(row.n == n for n, row in enumerate(locator_rows))
+
+
+def test_a_warm_memo_still_raises_location_failure(locator_rows, monkeypatch):
+    assert locate_pair(5, 8).verified == FULL_ROW
+    monkeypatch.setattr("hpascal.locator._scan", lambda values, u, v: None)
+    with pytest.raises(LocationFailure) as exc_info:
+        locate_pair(5, 8)
+    assert (exc_info.value.u, exc_info.value.v, exc_info.value.row) == (5, 8, 5)
+
+
+def test_concurrent_callers_get_single_thread_answers(built_rows, locator_rows):
+    batches = [MIXED_BATCH[i:] + MIXED_BATCH[:i] for i in range(0, 12, 3)]
+    expected = [locate_pairs(batch) for batch in batches]
+    del locator_rows[1:]
+    built_rows.clear()
+    start = threading.Barrier(len(batches))
+    got = [None] * len(batches)
+
+    def place(i):
+        start.wait()
+        got[i] = locate_pairs(batches[i])
+
+    threads = [threading.Thread(target=place, args=(i,)) for i in range(len(batches))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+    assert built_rows == [(5, n) for n in range(1, 16)]
+    assert all(row.n == n for n, row in enumerate(locator_rows))
 
 
 def test_locate_pairs_raises_the_first_failure_in_input_order(monkeypatch):

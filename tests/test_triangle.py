@@ -9,6 +9,7 @@ from hpascal.triangle import (
     BudgetExceeded,
     Cell,
     NoCentralCell,
+    Row,
     binomial_row,
     cell_at,
     central_cell,
@@ -53,11 +54,50 @@ def test_q4_is_pascals_triangle():
         assert "B" not in row.kinds
 
 
+def assert_palindromic(row):
+    assert row.values == row.values[::-1]
+    assert row.kinds == row.kinds[::-1]
+
+
+def assert_children_come_from_parents(parent_row, child_row, q):
+    """Each child of child_edges holds its one parent's value, or its two parents' sum."""
+    parents_of: dict[int, list[int]] = {}
+    for p, c in child_edges(parent_row.kinds, q):
+        parents_of.setdefault(c, []).append(parent_row.values[p])
+    assert sorted(parents_of) == list(range(len(child_row)))
+    for c, parent_values in parents_of.items():
+        value = child_row.values[c]
+        if child_row.kinds[c] == "W":
+            assert value == 1 and len(parent_values) == 1
+        elif len(parent_values) == 1:
+            assert value == parent_values[0]
+        else:
+            assert value == sum(parent_values)
+
+
+def reference_next_row(row, q):
+    """The cell-by-cell builder: appends each child's value and kind in turn."""
+    if len(row) == 1:
+        return Row(row.n + 1, [1, 1], "WW")
+    fill = {"A": q - 4, "B": q - 3}
+    values, kinds = [1], ["W"]
+    for i in range(1, len(row)):
+        if i > 1:
+            parent = row.values[i - 1]
+            for _ in range(fill[row.kinds[i - 1]]):
+                values.append(parent)
+                kinds.append("B")
+        values.append(row.values[i - 1] + row.values[i])
+        kinds.append("A")
+    values.append(1)
+    kinds.append("W")
+    return Row(row.n + 1, values, "".join(kinds))
+
+
 @pytest.mark.parametrize("q", [5, 6, 7])
 def test_rows_are_palindromic(q):
     for row in generate_rows(q, 10):
-        assert row.values == row.values[::-1]
-        assert row.kinds == row.kinds[::-1]
+        assert_palindromic(row)
 
 
 def test_row3_size_is_q():
@@ -107,18 +147,7 @@ def test_adjacency_grammar_q5(rows_q5):
 def test_child_values_come_from_parents(q):
     rows = list(generate_rows(q, 8))
     for parent_row, child_row in zip(rows, rows[1:]):
-        parents_of: dict[int, list[int]] = {}
-        for p, c in child_edges(parent_row.kinds, q):
-            parents_of.setdefault(c, []).append(parent_row.values[p])
-        assert sorted(parents_of) == list(range(len(child_row)))
-        for c, parent_values in parents_of.items():
-            value = child_row.values[c]
-            if child_row.kinds[c] == "W":
-                assert value == 1 and len(parent_values) == 1
-            elif len(parent_values) == 1:
-                assert value == parent_values[0]
-            else:
-                assert value == sum(parent_values)
+        assert_children_come_from_parents(parent_row, child_row, q)
 
 
 def test_edge_counts_match_down_degrees(rows_q5):
@@ -196,3 +225,24 @@ def test_coupled_counts_agree_with_generated_rows(q, budget):
     assert len(rows[-1]) <= budget
     for row, (a, b) in zip(rows[1:], triangle._coupled_counts(q)):
         assert row_counts(row) == (a, b, a + b + 2)
+
+
+@pytest.mark.parametrize("q", range(4, 13))
+def test_next_row_matches_the_cell_by_cell_builder(q):
+    expected = initial_row()
+    # q = 4 rows grow by one cell a row, so cap the depth as well as the size
+    for row in generate_rows(q, min(40, largest_row_within(q, 20000))):
+        assert (row.n, row.values, row.kinds) == (expected.n, expected.values, expected.kinds)
+        expected = reference_next_row(expected, q)
+
+
+@settings(deadline=None)
+@given(q=st.integers(4, 30), budget=st.integers(1, 2000), depth=st.integers(0, 40))
+def test_rows_of_any_q_are_palindromes_built_from_their_parents(q, budget, depth):
+    rows = list(generate_rows(q, min(depth, largest_row_within(q, budget)), budget))
+    for row in rows:
+        assert_palindromic(row)
+    for parent_row, child_row in zip(rows, rows[1:]):
+        assert_children_come_from_parents(parent_row, child_row, q)
+    for row in rows[1:]:
+        assert row_sums(row) == tuple(sequences.sums_coupled(q, row.n))
