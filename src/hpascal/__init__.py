@@ -33,7 +33,6 @@ from .triangle import (
     Cell,
     DEFAULT_CELL_BUDGET,
     Row,
-    cell_at,
     central_cell,
     generate_rows,
     initial_row,
@@ -55,7 +54,6 @@ __all__ = [
     "TernaryCoeffs",
     "alt_sum",
     "alt_triple_from_row",
-    "cell_at",
     "central_cell",
     "counts_closed",
     "counts_coupled",

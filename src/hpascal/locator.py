@@ -275,15 +275,8 @@ def locate_pair(u: int, v: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> PairL
     return locate_pairs([(u, v)], cell_budget)[0]
 
 
-def embed_recurrence(
-    f0: int, f1: int, eta: int, m: int, cell_budget: int = DEFAULT_CELL_BUDGET
-) -> list[PairLocation]:
-    """Locate the consecutive pairs of f[j] = eta*f[j-1] + f[j-2].
-
-    Returns locations for (f0, f1) .. (f[m-1], f[m]), found in one pass
-    down the triangle.  From the second pair on, consecutive located
-    rows differ by exactly eta, and each verified f[j+1] cell has kind A.
-    """
+def recurrence_pairs(f0: int, f1: int, eta: int, m: int) -> list[tuple[int, int]]:
+    """The pairs (f0, f1) .. (f[m-1], f[m]) of f[j] = eta*f[j-1] + f[j-2]."""
     if not 0 < f0 < f1:
         raise ValueError(f"need 0 < f0 < f1, got ({f0}, {f1})")
     if math.gcd(f0, f1) != 1:
@@ -295,4 +288,16 @@ def embed_recurrence(
     terms = [f0, f1]
     while len(terms) <= m:
         terms.append(eta * terms[-1] + terms[-2])
-    return locate_pairs(zip(terms, terms[1:]), cell_budget)
+    return list(zip(terms, terms[1:]))
+
+
+def embed_recurrence(
+    f0: int, f1: int, eta: int, m: int, cell_budget: int = DEFAULT_CELL_BUDGET
+) -> list[PairLocation]:
+    """Locate the consecutive pairs of f[j] = eta*f[j-1] + f[j-2].
+
+    Returns locations for (f0, f1) .. (f[m-1], f[m]), found in one pass
+    down the triangle.  From the second pair on, consecutive located
+    rows differ by exactly eta, and each verified f[j+1] cell has kind A.
+    """
+    return locate_pairs(recurrence_pairs(f0, f1, eta, m), cell_budget)

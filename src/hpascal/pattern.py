@@ -17,7 +17,7 @@ in a single pass from row 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import sequences
 from .triangle import (
@@ -32,20 +32,9 @@ from .triangle import (
 _TO_BITS = str.maketrans({"W": "1", "B": "1", "A": "0"})
 
 
-class PatternCode(NamedTuple):
-    n: int
-    value: int
-    length: int
-
-
 def pattern_bits(row: Row) -> str:
     """The row's kinds as a bit string (wingers and kind-B map to 1)."""
     return row.kinds.translate(_TO_BITS)
-
-
-def encode_row(row: Row) -> PatternCode:
-    bits = pattern_bits(row)
-    return PatternCode(row.n, int(bits, 2), len(bits))
 
 
 def _rows(wanted: Iterable[int], cell_budget: int) -> Iterator[Row]:
@@ -61,13 +50,7 @@ def pattern_int(n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
     if n < 0:
         raise ValueError("row index must be nonnegative")
     (row,) = _rows([n], cell_budget)
-    return encode_row(row).value
-
-
-def pattern_diff(n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
-    """pattern_int(n+1) - pattern_int(n)."""
-    this, following = (encode_row(r).value for r in _rows([n, n + 1], cell_budget))
-    return following - this
+    return int(pattern_bits(row), 2)
 
 
 def _row_len(n: int) -> int:
@@ -89,7 +72,7 @@ def growth_power(n: int) -> int:
 def recurrence_holds(n: int, codes: Sequence[int]) -> bool:
     """The pattern-difference recurrence at n >= 3, from the codes of rows n-2..n+1.
 
-    With D_k = pattern_diff(k) and S_k = growth_power(k):
+    With D_k = pattern_int(k+1) - pattern_int(k) and S_k = growth_power(k):
 
         D_n = (S_n/S_{n-1} + S_n + S_{n-1}) * D_{n-1} - S_{n-1}**2 * D_{n-2}
 
@@ -129,7 +112,7 @@ def check_pattern_recurrence(n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> 
     """Exact check of the pattern-difference recurrence at index n >= 3."""
     if n < 3:
         raise ValueError("the recurrence is stated for n >= 3")
-    codes = [encode_row(r).value for r in _rows(range(n - 2, n + 2), cell_budget)]
+    codes = [int(pattern_bits(r), 2) for r in _rows(range(n - 2, n + 2), cell_budget)]
     return recurrence_holds(n, codes)
 
 

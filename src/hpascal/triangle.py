@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress
 from typing import Iterator, NamedTuple
 
 WINGER = "W"
@@ -131,23 +131,6 @@ def _coupled_counts(q: int) -> Iterator[tuple[int, int]]:
         a, b = a + b + 1, (q - 4) * a + (q - 3) * b
 
 
-def row_cell_count(q: int, n: int, cap: int | None = None) -> int | None:
-    """Cell count of row n, or None once it exceeds cap (if given).
-
-    Runs the cheap coupled counting recurrence instead of building rows,
-    and stops early when a cap is supplied, so it is safe for huge n.
-    """
-    _check_q(q)
-    if n < 0:
-        raise ValueError("row index must be nonnegative")
-    s = 1
-    for a, b in islice(_coupled_counts(q), n):
-        s = a + b + 2
-        if cap is not None and s > cap:
-            return None
-    return s
-
-
 def largest_row_within(q: int, cell_budget: int) -> int:
     """Largest n whose row fits the budget (row sizes increase with n)."""
     _check_q(q)
@@ -216,12 +199,6 @@ def central_cell(row: Row) -> Cell:
     if m % 2 == 0:
         raise NoCentralCell(f"row {row.n} has {m} cells")
     return row.cell(m // 2)
-
-
-def cell_at(q: int, n: int, k: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> Cell:
-    """The k-th cell of row n, generating as needed."""
-    row = nth_row(q, n, cell_budget)
-    return row.cell(k)
 
 
 def child_edges(kinds: str, q: int) -> Iterator[tuple[int, int]]:

@@ -6,10 +6,10 @@ Everything is exact integer or rational arithmetic; a single mismatch
 anywhere fails the suite and is named in the detail string.
 
 The suites that read generated rows (three-way, alternating, parity,
-pattern, locator) each take a row reader that keeps small per-row
-results, never rows.  A suite runs through `run([name])`, which streams
-only that suite's rows; `run` builds every row the named suites read
-once, in one stream per q, and hands it to each reader that reads it.
+pattern, locator, embeddings) each take a row reader that keeps small
+per-row results, never rows.  A suite runs through `run([name])`, which
+streams only that suite's rows; `run` builds every row the named suites
+read once, in one stream per q, and hands it to each reader that reads it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, zip_longest
 from typing import Callable, Iterable
 
 from . import linrec, locator, pattern, sequences
@@ -98,8 +98,12 @@ def euclidean_oracle() -> CheckResult:
     """q = 4 rows 0..20 are exactly Pascal's triangle, with no kind-B cells."""
     name = "euclidean-oracle"
     for row in generate_rows(4, 20):
-        if row.values != binomial_row(row.n):
-            return _fail(name, f"row {row.n} differs from binomial coefficients")
+        cells = enumerate(zip_longest(row.values, binomial_row(row.n)))
+        k = next((k for k, (got, want) in cells if got != want), None)
+        if k is not None:
+            return _fail(
+                name, f"row {row.n} differs from binomial coefficients at k={k}"
+            )
         if "B" in row.kinds:
             return _fail(name, f"row {row.n} contains a kind-B cell")
     return _ok(name, "q=4 rows 0..20 match binomials, zero kind-B cells")
@@ -229,23 +233,24 @@ LOCATOR_SPOTS = (
 )
 
 
-class LocatorRows(RowReader):
-    """Places the coprime pairs up to 30, then the spot pairs, as rows go by."""
+class PairRows(RowReader):
+    """Places a batch of pairs in the q = 5 rows as they go by."""
 
-    def __init__(self) -> None:
-        self.coprime = [
-            (u, v) for v in range(2, 31) for u in range(1, v) if math.gcd(u, v) == 1
-        ]
-        spots = [pair for pair, _, _ in LOCATOR_SPOTS]
-        self.scanner = locator.PairScanner([*self.coprime, *spots])
+    def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
+        self.scanner = locator.PairScanner(pairs)
         super().__init__({5: self.scanner.last_row}, self.scanner.feed)
 
 
-def locator_pairs(seen: LocatorRows) -> CheckResult:
+def _locator_rows() -> PairRows:
+    coprime = [(u, v) for v in range(2, 31) for u in range(1, v) if math.gcd(u, v) == 1]
+    return PairRows([*coprime, *(pair for pair, _, _ in LOCATOR_SPOTS)])
+
+
+def locator_pairs(seen: PairRows) -> CheckResult:
     """Every in-budget coprime pair up to 30 scan-verifies, plus spot pairs."""
     name = "locator"
-    total = len(seen.coprime)
     outcomes = seen.scanner.outcomes
+    total = len(outcomes) - len(LOCATOR_SPOTS)
     skipped = 0
     for out in outcomes:
         if isinstance(out, locator.LocationFailure):
@@ -266,10 +271,28 @@ def locator_pairs(seen: LocatorRows) -> CheckResult:
     )
 
 
-def embeddings() -> CheckResult:
+# (f0, f1, eta, m) of the chains placed: Fibonacci, Pell, then six eta
+# families (one repeated), each with every pair in rows <= 14
+EMBED_CHAINS = (
+    (1, 2, 1, 14), (1, 2, 2, 5),
+    (2, 5, 2, 4), (1, 3, 2, 4), (4, 7, 1, 4), (3, 4, 2, 4), (1, 3, 2, 4), (3, 5, 1, 4),
+)
+
+
+def _embedding_rows() -> PairRows:
+    return PairRows(
+        pair for chain in EMBED_CHAINS for pair in locator.recurrence_pairs(*chain)
+    )
+
+
+def embeddings(seen: PairRows) -> CheckResult:
     """Fibonacci and Pell pair chains, and eta-spaced rows in general."""
     name = "embeddings"
-    fib = locator.embed_recurrence(1, 2, 1, 14)
+    for out in seen.scanner.outcomes:
+        if isinstance(out, locator.LocationFailure):
+            return _fail(name, f"location failure: {out}")
+    outcomes = iter(seen.scanner.outcomes)
+    fib, pell, *families = (list(islice(outcomes, m)) for *_, m in EMBED_CHAINS)
     if [loc.row for loc in fib] != list(range(2, 16)):
         return _fail(name, f"Fibonacci rows: {[loc.row for loc in fib]}")
     for loc in fib:
@@ -277,22 +300,11 @@ def embeddings() -> CheckResult:
             return _fail(name, f"Fibonacci pair ({loc.u},{loc.v}) unverified")
         if loc.value_kinds[1] != "A":
             return _fail(name, f"Fibonacci cell {loc.v} in row {loc.row} not kind A")
-    pell = locator.embed_recurrence(1, 2, 2, 5)
     if [loc.row for loc in pell] != [2, 4, 6, 8, 10]:
         return _fail(name, f"Pell rows: {[loc.row for loc in pell]}")
     if any(loc.verified != locator.FULL_ROW for loc in pell):
         return _fail(name, "Pell pair unverified")
-    rng = random.Random(94721)
-    families = 0
-    while families < 6:
-        f0 = rng.randint(1, 4)
-        f1 = f0 + rng.randint(1, 4)
-        eta = rng.randint(1, 3)
-        if math.gcd(f0, f1) != 1:
-            continue
-        locs = locator.embed_recurrence(f0, f1, eta, 4)
-        if any(loc.row > 14 for loc in locs):
-            continue
+    for (f0, f1, eta, _), locs in zip(EMBED_CHAINS[2:], families):
         rows = [loc.row for loc in locs]
         for j in range(1, len(rows) - 1):
             if rows[j + 1] - rows[j] != eta:
@@ -301,7 +313,6 @@ def embeddings() -> CheckResult:
                 )
         if any(loc.verified != locator.FULL_ROW for loc in locs):
             return _fail(name, f"unverified pair in family ({f0},{f1},eta={eta})")
-        families += 1
     return _ok(name, "Fibonacci rows 2..15 (kind A), Pell rows 2..10, 6 eta families")
 
 
@@ -379,7 +390,8 @@ ROW_READERS: dict[str, Callable[[], RowReader]] = {
     "alternating": _signed_subsum_rows,
     "parity": _row_lengths,
     "pattern": _pattern_rows,
-    "locator": LocatorRows,
+    "locator": _locator_rows,
+    "embeddings": _embedding_rows,
 }
 
 

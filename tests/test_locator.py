@@ -168,7 +168,7 @@ def test_locate_pairs_agrees_with_per_pair_scans():
         row = locate_row(min(u, v), max(u, v))
         assert loc.row == row
         assert loc.trace == descent_trace(min(u, v), max(u, v))
-        if triangle.row_cell_count(5, row, cap=budget) is None:
+        if row > triangle.largest_row_within(5, budget):
             assert (loc.verified, loc.col, loc.orientation) == (UNVERIFIED, None, None)
             continue
         values = nth_row(5, row).values

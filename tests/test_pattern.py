@@ -7,10 +7,8 @@ from hpascal.pattern import (
     check_central_value,
     check_pattern_recurrence,
     check_prefix,
-    encode_row,
     growth_power,
     pattern_bits,
-    pattern_diff,
     pattern_int,
     prefix_holds,
     recurrence_holds,
@@ -31,9 +29,9 @@ def test_pattern_int_generates_when_no_rows_given():
 
 
 def test_pattern_diffs():
-    assert pattern_diff(1) == 2
-    assert pattern_diff(2) == 16
-    assert pattern_diff(3) == 672
+    assert pattern_int(2) - pattern_int(1) == 2
+    assert pattern_int(3) - pattern_int(2) == 16
+    assert pattern_int(4) - pattern_int(3) == 672
 
 
 def test_growth_powers():
@@ -86,9 +84,7 @@ def test_codes_are_palindromic_with_full_bit_length(rows_q5):
     for row in rows_q5[1:11]:
         bits = pattern_bits(row)
         assert bits == bits[::-1]
-        code = encode_row(row)
-        assert code.value.bit_length() == code.length
-        assert code.length == counts_ternary(5, row.n).s
+        assert int(bits, 2).bit_length() == len(bits) == counts_ternary(5, row.n).s
 
 
 def test_requested_row_must_fit_the_budget():

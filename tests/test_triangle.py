@@ -11,7 +11,6 @@ from hpascal.triangle import (
     NoCentralCell,
     Row,
     binomial_row,
-    cell_at,
     central_cell,
     child_edges,
     generate_rows,
@@ -19,7 +18,6 @@ from hpascal.triangle import (
     largest_row_within,
     next_row,
     nth_row,
-    row_cell_count,
     row_counts,
     row_sums,
 )
@@ -175,14 +173,14 @@ def test_central_cell(rows_q5):
         central_cell(rows_q5[4])
 
 
-def test_cell_at():
-    assert cell_at(5, 3, 2).value == 2
-    assert cell_at(5, 4, 3).value == 5
+def test_row_cell():
+    assert nth_row(5, 3).cell(2).value == 2
+    assert nth_row(5, 4).cell(3).value == 5
     for q in (4, 5, 7):
         for n in (0, 3, 6):
-            assert cell_at(q, n, 0) == Cell(1, "W")
+            assert nth_row(q, n).cell(0) == Cell(1, "W")
     with pytest.raises(IndexError):
-        cell_at(5, 3, 5)
+        nth_row(5, 3).cell(5)
 
 
 def test_q_below_four_rejected():
@@ -190,13 +188,6 @@ def test_q_below_four_rejected():
         next_row(initial_row(), 3)
     with pytest.raises(ValueError):
         list(generate_rows(3, 2))
-
-
-def test_row_cell_count_matches_generation(rows_q5):
-    for row in rows_q5:
-        assert row_cell_count(5, row.n) == len(row)
-    assert row_cell_count(5, 7, cap=100) is None
-    assert row_cell_count(5, 6, cap=100) == 57
 
 
 def test_largest_row_within():
@@ -209,7 +200,6 @@ def test_coupled_counts_agree_with_ternary_route(q, n):
     ternary = sequences.counts_ternary(q, n)
     a, b = next(islice(triangle._coupled_counts(q), n - 1, None))
     assert (a, b, a + b + 2) == ternary == sequences.counts_coupled(q, n)
-    assert row_cell_count(q, n) == ternary.s
 
 
 @settings(deadline=None)
@@ -221,7 +211,7 @@ def test_coupled_counts_agree_with_generated_rows(q, budget):
         for row in generate_rows(q, top + 1, budget):
             rows.append(row)
     assert exc_info.value.row == top + 1 == len(rows)
-    assert exc_info.value.size == row_cell_count(q, top + 1) > budget
+    assert exc_info.value.size == sequences.counts_coupled(q, top + 1).s > budget
     assert len(rows[-1]) <= budget
     for row, (a, b) in zip(rows[1:], triangle._coupled_counts(q)):
         assert row_counts(row) == (a, b, a + b + 2)

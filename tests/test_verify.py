@@ -1,13 +1,14 @@
 """The verify suites share one row stream per q."""
 
 import importlib
+import math
 from pathlib import Path
 
 import pytest
 
-from hpascal import sequences, triangle, verify
+from hpascal import locator, sequences, triangle, verify
 
-ROW_SUITES = ["three-way", "alternating", "parity", "pattern", "locator"]
+ROW_SUITES = ["three-way", "alternating", "parity", "pattern", "locator", "embeddings"]
 
 
 @pytest.fixture
@@ -17,7 +18,7 @@ def expected_details(monkeypatch):
     return dict(importlib.import_module("workloads").VERIFY_EXPECTED)
 
 
-def test_row_suites_build_each_row_once(built_rows, expected_details):
+def test_row_suites_build_each_row_once(built_rows, locator_rows, expected_details):
     results = verify.run(ROW_SUITES)
     assert [(r.name, r.passed, r.detail) for r in results] == [
         (name, True, expected_details[name]) for name in ROW_SUITES
@@ -26,6 +27,7 @@ def test_row_suites_build_each_row_once(built_rows, expected_details):
     tops = {q: triangle.largest_row_within(q, triangle.DEFAULT_CELL_BUDGET)
             for q in verify.AGREEMENT_QS}
     assert sorted(built_rows) == [(q, n) for q in tops for n in range(1, tops[q] + 1)]
+    assert locator_rows == [triangle.initial_row()]  # the locator's kept rows are untouched
 
 
 def test_a_stream_goes_only_as_far_as_its_readers_read(built_rows):
@@ -71,3 +73,33 @@ def test_a_parity_failure_names_its_row(monkeypatch):
     monkeypatch.setattr(sequences, "parity_s", lambda n: original(n) ^ (n == 700))
     (result,) = verify.run(["parity"])
     assert (result.passed, result.detail) == (False, "ternary parity mismatch at n=700")
+
+
+def test_a_euclidean_mismatch_names_its_cell(monkeypatch):
+    original = triangle.binomial_row
+
+    def bumped(n):
+        values = original(n)
+        if n == 7:
+            values[3] += 1
+        return values
+
+    monkeypatch.setattr(verify, "binomial_row", bumped)
+    (result,) = verify.run(["euclidean-oracle"])
+    assert (result.passed, result.detail) == (
+        False, "row 7 differs from binomial coefficients at k=3"
+    )
+
+
+def test_an_embedding_pair_missing_from_its_row_fails_the_suite(monkeypatch):
+    monkeypatch.setattr(locator, "_scan", lambda values, u, v: None)
+    (result,) = verify.run(["embeddings"])
+    assert not result.passed
+    assert result.detail.startswith("location failure: pair (")
+
+
+def test_eta_families_are_coprime_and_in_rows_up_to_14():
+    for f0, f1, eta, m in verify.EMBED_CHAINS[2:]:  # after Fibonacci and Pell
+        assert math.gcd(f0, f1) == 1
+        for u, v in locator.recurrence_pairs(f0, f1, eta, m):
+            assert locator.locate_row(u, v) <= 14
