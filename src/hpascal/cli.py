@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 failed check or located-pair failure (an exact
 value that is not an integer, or an arithmetic inconsistency, counts as
-a failed check), 2 usage error, 3 cell budget exceeded.
+a failed check), 2 usage error, 3 cell budget exceeded.  Results print
+in full, however many digits they have.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import export, linrec, locator, pattern, sequences, verify
-from .quadfield import NotIntegralError, NotRationalError
 from .triangle import (
     BudgetExceeded,
     DEFAULT_CELL_BUDGET,
@@ -174,15 +174,11 @@ def cmd_eliminate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = args.suites or None
-    results = verify.run(names)
-    failed = False
+    results = verify.run(args.suites or None)
     with _open_out(args.output) as fp:
         for res in results:
-            status = "PASS" if res.passed else "FAIL"
-            fp.write(f"{status} {res.name}: {res.detail}\n")
-            failed = failed or not res.passed
-    return EXIT_FAIL if failed else EXIT_OK
+            fp.write(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}\n")
+    return EXIT_OK if all(res.passed for res in results) else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,22 +271,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # argv keeps Python's int-to-str digit limit (0: none, as on older builds);
+    # results print in full
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         # here, so every command that takes a budget rejects it, whatever its route
         if getattr(args, "budget", 1) < 1:
             raise ValueError("cell budget must be positive")
+        if limit:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (
-        locator.LocationFailure, NotIntegralError, NotRationalError, ArithmeticError
-    ) as exc:
+    except verify.CHECK_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

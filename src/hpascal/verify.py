@@ -1,15 +1,15 @@
 """Self-contained verification suites over the whole library.
 
-Each suite checks one family of exact claims end to end and reports a
-single pass/fail result with a short account of what was covered.
-Everything is exact integer or rational arithmetic; a single mismatch
-anywhere fails the suite and is named in the detail string.
+Each suite checks one family of exact claims end to end.  It returns a
+short account of what was covered, or raises SuiteFailure naming the
+first mismatch; `run` makes each suite's pass/fail result.  Everything
+is exact integer or rational arithmetic.
 
-The suites that read generated rows (three-way, alternating, parity,
-pattern, locator, embeddings) each take a row reader that keeps small
-per-row results, never rows.  A suite runs through `run([name])`, which
-streams only that suite's rows; `run` builds every row the named suites
-read once, in one stream per q, and hands it to each reader that reads it.
+The suites that read generated rows (the keys of ROW_READERS) each take
+a row reader that keeps small per-row results, never rows.  A suite runs
+through `run([name])`, which streams only that suite's rows; `run` builds
+every row the named suites read once, in one stream per q, and hands it
+to each reader that reads it.
 """
 
 from __future__ import annotations
@@ -63,12 +63,14 @@ class CheckResult:
     detail: str
 
 
-def _fail(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, False, detail)
+class SuiteFailure(Exception):
+    """A suite's check failed; the message is the result's detail."""
 
 
-def _ok(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, True, detail)
+# what an exact check raises when it fails: the CLI's exit 1
+CHECK_FAILURES = (
+    locator.LocationFailure, NotIntegralError, NotRationalError, ArithmeticError
+)
 
 
 class RowReader:
@@ -94,19 +96,18 @@ def stream(readers: list[RowReader]) -> None:
                     r.feed(q, row)
 
 
-def euclidean_oracle() -> CheckResult:
+def euclidean_oracle() -> str:
     """q = 4 rows 0..20 are exactly Pascal's triangle, with no kind-B cells."""
-    name = "euclidean-oracle"
     for row in generate_rows(4, 20):
         cells = enumerate(zip_longest(row.values, binomial_row(row.n)))
         k = next((k for k, (got, want) in cells if got != want), None)
         if k is not None:
-            return _fail(
-                name, f"row {row.n} differs from binomial coefficients at k={k}"
+            raise SuiteFailure(
+                f"row {row.n} differs from binomial coefficients at k={k}"
             )
         if "B" in row.kinds:
-            return _fail(name, f"row {row.n} contains a kind-B cell")
-    return _ok(name, "q=4 rows 0..20 match binomials, zero kind-B cells")
+            raise SuiteFailure(f"row {row.n} contains a kind-B cell")
+    return "q=4 rows 0..20 match binomials, zero kind-B cells"
 
 
 def _count_and_sum_rows() -> RowReader:
@@ -116,33 +117,31 @@ def _count_and_sum_rows() -> RowReader:
     return RowReader(last, lambda row: row.n and (row_counts(row), row_sums(row)))
 
 
-def three_way_agreement(seen: RowReader) -> CheckResult:
+def three_way_agreement(seen: RowReader) -> str:
     """Coupled, ternary and closed-form counts/sums agree, and match rows."""
-    name = "three-way"
     for q in AGREEMENT_QS:
         for n in range(1, AGREEMENT_N_MAX + 1):
             c = sequences.counts_coupled(q, n)
             if sequences.counts_ternary(q, n) != c:
-                return _fail(name, f"count ternary/coupled mismatch at q={q} n={n}")
+                raise SuiteFailure(f"count ternary/coupled mismatch at q={q} n={n}")
             if sequences.counts_closed(q, n) != c:
-                return _fail(name, f"count closed/coupled mismatch at q={q} n={n}")
+                raise SuiteFailure(f"count closed/coupled mismatch at q={q} n={n}")
             s = sequences.sums_coupled(q, n)
             if sequences.sums_ternary(q, n) != s:
-                return _fail(name, f"sum ternary/coupled mismatch at q={q} n={n}")
+                raise SuiteFailure(f"sum ternary/coupled mismatch at q={q} n={n}")
             if sequences.sums_closed(q, n) != s:
-                return _fail(name, f"sum closed/coupled mismatch at q={q} n={n}")
+                raise SuiteFailure(f"sum closed/coupled mismatch at q={q} n={n}")
     for (q, n), stats in seen.kept.items():  # q, then n, ascending
         if not n:
             continue
         counts, sums = stats
         if counts != tuple(sequences.counts_coupled(q, n)):
-            return _fail(name, f"generated counts mismatch at q={q} n={n}")
+            raise SuiteFailure(f"generated counts mismatch at q={q} n={n}")
         if sums != tuple(sequences.sums_coupled(q, n)):
-            return _fail(name, f"generated sums mismatch at q={q} n={n}")
-    return _ok(
-        name,
+            raise SuiteFailure(f"generated sums mismatch at q={q} n={n}")
+    return (
         f"q in {AGREEMENT_QS}: three routes agree for n=1..{AGREEMENT_N_MAX}; "
-        f"{sum(seen.last.values())} generated rows match",
+        f"{sum(seen.last.values())} generated rows match"
     )
 
 
@@ -150,14 +149,13 @@ def _signed_subsum_rows() -> RowReader:
     return RowReader({5: 17}, sequences.alt_triple_from_row)
 
 
-def alternating_sums(seen: RowReader) -> CheckResult:
+def alternating_sums(seen: RowReader) -> str:
     """Alternating-sum table, closed description, and three-row stepping."""
-    name = "alternating"
     for (_, n), triple in seen.kept.items():
         if n <= 12 and triple != ALT_TABLE[n]:
-            return _fail(name, f"signed subsums at n={n}: {triple}")
+            raise SuiteFailure(f"signed subsums at n={n}: {triple}")
         if triple.total != sequences.alt_sum(n):
-            return _fail(name, f"alternating sum of generated row {n}")
+            raise SuiteFailure(f"alternating sum of generated row {n}")
     # step the signed subsums three rows at a time along both odd-length
     # residue chains; even-length rows (n = 3t+1) vanish by symmetry
     for start, seed in ((0, (0, 0)), (2, (-2, 0))):
@@ -166,29 +164,28 @@ def alternating_sums(seen: RowReader) -> CheckResult:
         while n <= 10**4:
             expected = 1 if n == 0 else a_part + b_part + 2
             if expected != sequences.alt_sum(n):
-                return _fail(name, f"stepped subsums disagree with alt_sum at n={n}")
+                raise SuiteFailure(f"stepped subsums disagree with alt_sum at n={n}")
             a_part, b_part = sequences.alt_step(a_part, b_part)
             n += 3
     for n in range(1, 10**4, 3):
         if sequences.alt_sum(n) != 0:
-            return _fail(name, f"even-length row n={n} must have alternating sum 0")
-    return _ok(name, "table rows 0..12, generated rows 0..17, stepping to n=10^4")
+            raise SuiteFailure(f"even-length row n={n} must have alternating sum 0")
+    return "table rows 0..12, generated rows 0..17, stepping to n=10^4"
 
 
 def _row_lengths() -> RowReader:
     return RowReader({5: largest_row_within(5, DEFAULT_CELL_BUDGET)}, len)
 
 
-def parity(seen: RowReader) -> CheckResult:
+def parity(seen: RowReader) -> str:
     """Row-size parity rule: even exactly at n = 3t+1 (q = 5)."""
-    name = "parity"
     for n, counts in enumerate(islice(sequences._ternary_counts(5), 1000), 1):
         if counts.s % 2 != sequences.parity_s(n):
-            return _fail(name, f"ternary parity mismatch at n={n}")
+            raise SuiteFailure(f"ternary parity mismatch at n={n}")
     for (_, n), length in seen.kept.items():
         if n and length % 2 != sequences.parity_s(n):
-            return _fail(name, f"generated row length parity at n={n}")
-    return _ok(name, f"ternary n=1..1000 and generated rows 1..{seen.last[5]}")
+            raise SuiteFailure(f"generated row length parity at n={n}")
+    return f"ternary n=1..1000 and generated rows 1..{seen.last[5]}"
 
 
 def _pattern_rows() -> RowReader:
@@ -201,29 +198,27 @@ def _pattern_rows() -> RowReader:
     return RowReader({5: 18}, keep)
 
 
-def pattern_checks(seen: RowReader) -> CheckResult:
+def pattern_checks(seen: RowReader) -> str:
     """Pattern code value, difference recurrence, and repetition checks."""
-    name = "pattern"
     bits, centres = zip(*seen.kept.values())  # by row index
     codes = [int(b, 2) for b in bits[:16]]
     if codes[3] != 21:
-        return _fail(name, "pattern of row 3 must encode to 21")
+        raise SuiteFailure("pattern of row 3 must encode to 21")
     for n in range(3, 15):
         if not pattern.recurrence_holds(n, codes[n - 2 : n + 2]):
-            return _fail(name, f"pattern-difference recurrence fails at n={n}")
+            raise SuiteFailure(f"pattern-difference recurrence fails at n={n}")
     for n in [0, *range(2, 16)]:
         if not pattern.prefix_holds(bits[n], bits[n + 1]):
-            return _fail(name, f"prefix repetition fails at n={n}")
+            raise SuiteFailure(f"prefix repetition fails at n={n}")
     for n in range(0, 13):
         if not pattern.central_copy_holds(bits[n], bits[n + 3]):
-            return _fail(name, f"central copy fails at n={n}")
+            raise SuiteFailure(f"central copy fails at n={n}")
     for k in range(1, 7):
         if not pattern.central_value_holds(k, centres[3 * k]):
-            return _fail(name, f"central value 2^{k} fails at k={k}")
-    return _ok(
-        name,
+            raise SuiteFailure(f"central value 2^{k} fails at k={k}")
+    return (
         "code(3)=21; recurrence n=3..14; prefix n=0,2..15; "
-        "central copy n=0..12; central value k=1..6",
+        "central copy n=0..12; central value k=1..6"
     )
 
 
@@ -246,28 +241,24 @@ def _locator_rows() -> PairRows:
     return PairRows([*coprime, *(pair for pair, _, _ in LOCATOR_SPOTS)])
 
 
-def locator_pairs(seen: PairRows) -> CheckResult:
+def locator_pairs(seen: PairRows) -> str:
     """Every in-budget coprime pair up to 30 scan-verifies, plus spot pairs."""
-    name = "locator"
     outcomes = seen.scanner.outcomes
     total = len(outcomes) - len(LOCATOR_SPOTS)
     skipped = 0
     for out in outcomes:
         if isinstance(out, locator.LocationFailure):
-            return _fail(name, f"location failure: {out}")
+            raise SuiteFailure(f"location failure: {out}")
         skipped += out.verified == locator.UNVERIFIED
     verified = total - skipped
     if verified < 0.9 * total:
-        return _fail(name, f"only {verified}/{total} coprime pairs verified")
+        raise SuiteFailure(f"only {verified}/{total} coprime pairs verified")
     for ((u, v), want_row, want_col), loc in zip(LOCATOR_SPOTS, outcomes[total:]):
         if loc.verified != locator.FULL_ROW or (loc.row, loc.col) != (want_row, want_col):
-            return _fail(
-                name, f"spot pair ({u},{v}): got row {loc.row} col {loc.col}"
-            )
-    return _ok(
-        name,
+            raise SuiteFailure(f"spot pair ({u},{v}): got row {loc.row} col {loc.col}")
+    return (
         f"{verified}/{total} coprime pairs <= 30 verified ({skipped} over budget), "
-        "spot pairs at expected cells",
+        "spot pairs at expected cells"
     )
 
 
@@ -285,50 +276,46 @@ def _embedding_rows() -> PairRows:
     )
 
 
-def embeddings(seen: PairRows) -> CheckResult:
+def embeddings(seen: PairRows) -> str:
     """Fibonacci and Pell pair chains, and eta-spaced rows in general."""
-    name = "embeddings"
     for out in seen.scanner.outcomes:
         if isinstance(out, locator.LocationFailure):
-            return _fail(name, f"location failure: {out}")
+            raise SuiteFailure(f"location failure: {out}")
     outcomes = iter(seen.scanner.outcomes)
     fib, pell, *families = (list(islice(outcomes, m)) for *_, m in EMBED_CHAINS)
     if [loc.row for loc in fib] != list(range(2, 16)):
-        return _fail(name, f"Fibonacci rows: {[loc.row for loc in fib]}")
+        raise SuiteFailure(f"Fibonacci rows: {[loc.row for loc in fib]}")
     for loc in fib:
         if loc.verified != locator.FULL_ROW:
-            return _fail(name, f"Fibonacci pair ({loc.u},{loc.v}) unverified")
+            raise SuiteFailure(f"Fibonacci pair ({loc.u},{loc.v}) unverified")
         if loc.value_kinds[1] != "A":
-            return _fail(name, f"Fibonacci cell {loc.v} in row {loc.row} not kind A")
+            raise SuiteFailure(f"Fibonacci cell {loc.v} in row {loc.row} not kind A")
     if [loc.row for loc in pell] != [2, 4, 6, 8, 10]:
-        return _fail(name, f"Pell rows: {[loc.row for loc in pell]}")
+        raise SuiteFailure(f"Pell rows: {[loc.row for loc in pell]}")
     if any(loc.verified != locator.FULL_ROW for loc in pell):
-        return _fail(name, "Pell pair unverified")
+        raise SuiteFailure("Pell pair unverified")
     for (f0, f1, eta, _), locs in zip(EMBED_CHAINS[2:], families):
         rows = [loc.row for loc in locs]
         for j in range(1, len(rows) - 1):
             if rows[j + 1] - rows[j] != eta:
-                return _fail(
-                    name, f"spacing {rows} != {eta} for ({f0},{f1},eta={eta})"
-                )
+                raise SuiteFailure(f"spacing {rows} != {eta} for ({f0},{f1},eta={eta})")
         if any(loc.verified != locator.FULL_ROW for loc in locs):
-            return _fail(name, f"unverified pair in family ({f0},{f1},eta={eta})")
-    return _ok(name, "Fibonacci rows 2..15 (kind A), Pell rows 2..10, 6 eta families")
+            raise SuiteFailure(f"unverified pair in family ({f0},{f1},eta={eta})")
+    return "Fibonacci rows 2..15 (kind A), Pell rows 2..10, 6 eta families"
 
 
-def elimination() -> CheckResult:
+def elimination() -> str:
     """Coupled-to-ternary elimination: named systems and random round trips."""
-    name = "elimination"
     for q in range(4, 13):
         got = linrec.eliminate(linrec.CoupledSystem(1, 1, 1, q - 4, q - 3, 0))
         if got != (q - 1, -(q - 1), 1):
-            return _fail(name, f"count system at q={q}: {got}")
+            raise SuiteFailure(f"count system at q={q}: {got}")
         got = linrec.eliminate(linrec.CoupledSystem(2, 2, 2, q - 4, q - 3, 0))
         if got != (q, -(q + 1), 2):
-            return _fail(name, f"sum system at q={q}: {got}")
+            raise SuiteFailure(f"sum system at q={q}: {got}")
     got = linrec.eliminate(linrec.CoupledSystem(-4, -8, -6, 2, 4, 2))
     if got != (1, 0, 0):
-        return _fail(name, f"alternating-influence system: {got}")
+        raise SuiteFailure(f"alternating-influence system: {got}")
     rng = random.Random(181737)
     done = 0
     while done < 100:
@@ -344,34 +331,30 @@ def elimination() -> CheckResult:
             ys.append(y)
         coeffs = linrec.eliminate(sys_)
         if not (linrec.check_satisfies(xs, coeffs) and linrec.check_satisfies(ys, coeffs)):
-            return _fail(name, f"round trip fails for {sys_}")
+            raise SuiteFailure(f"round trip fails for {sys_}")
         if c1 == 0 and c2 == 0:
             a_bin, b_bin = linrec.eliminate_homogeneous(sys_)
             if any(
                 xs[k + 2] != a_bin * xs[k + 1] + b_bin * xs[k] for k in range(11)
             ):
-                return _fail(name, f"homogeneous elimination fails for {sys_}")
+                raise SuiteFailure(f"homogeneous elimination fails for {sys_}")
         done += 1
-    return _ok(name, "named systems q=4..12, influence system, 100 random round trips")
+    return "named systems q=4..12, influence system, 100 random round trips"
 
 
-def exactness() -> CheckResult:
+def exactness() -> str:
     """Every closed-form evaluation lands exactly on an integer."""
-    name = "exactness"
     for q in AGREEMENT_QS:
         for n in range(1, AGREEMENT_N_MAX + 1):
             try:
                 sequences.counts_closed(q, n)
                 sequences.sums_closed(q, n)
             except (NotRationalError, NotIntegralError) as exc:
-                return _fail(name, f"closed form q={q} n={n}: {exc}")
-    return _ok(
-        name,
-        f"all closed forms integral for q in {AGREEMENT_QS}, n=1..{AGREEMENT_N_MAX}",
-    )
+                raise SuiteFailure(f"closed form q={q} n={n}: {exc}") from exc
+    return f"all closed forms integral for q in {AGREEMENT_QS}, n=1..{AGREEMENT_N_MAX}"
 
 
-SUITES: dict[str, Callable[..., CheckResult]] = {
+SUITES: dict[str, Callable[..., str]] = {
     "euclidean-oracle": euclidean_oracle,
     "three-way": three_way_agreement,
     "alternating": alternating_sums,
@@ -396,7 +379,11 @@ ROW_READERS: dict[str, Callable[[], RowReader]] = {
 
 
 def run(names: Iterable[str] | None = None) -> list[CheckResult]:
-    """Run the named suites (all by default), streaming their rows once."""
+    """Run the named suites (all by default), streaming their rows once.
+
+    A suite that raises fails with the exception's message as its detail
+    (named by type unless it is a SuiteFailure); the rest still run.
+    """
     picked = list(SUITES) if names is None else list(names)
     for suite_name in picked:
         if suite_name not in SUITES:
@@ -405,6 +392,13 @@ def run(names: Iterable[str] | None = None) -> list[CheckResult]:
             )
     fed = {name: ROW_READERS[name]() for name in picked if name in ROW_READERS}
     stream(list(fed.values()))
-    return [
-        SUITES[name](fed[name]) if name in fed else SUITES[name]() for name in picked
-    ]
+    results = []
+    for name in picked:
+        try:
+            passed, detail = True, SUITES[name](*([fed[name]] if name in fed else []))
+        except SuiteFailure as exc:
+            passed, detail = False, str(exc)
+        except CHECK_FAILURES as exc:
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, passed, detail))
+    return results

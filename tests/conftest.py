@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import pytest
 
 from hpascal import locator, triangle
@@ -30,3 +33,10 @@ def built_rows(monkeypatch, locator_rows):
 
     monkeypatch.setattr(triangle, "next_row", counting)
     return built
+
+
+@pytest.fixture
+def expected_details(monkeypatch):
+    """Suite name -> detail string recorded by the benchmark at the seed commit."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return dict(importlib.import_module("workloads").VERIFY_EXPECTED)

@@ -1,13 +1,15 @@
 import json
+import sys
 
 import pytest
 
 from hpascal import sequences
 from hpascal.cli import main
 from hpascal.export import row_as_json
+from hpascal.pattern import pattern_bits
 from hpascal.quadfield import NotIntegralError, NotRationalError
 from hpascal.sequences import DegenerateDiscriminant
-from hpascal.triangle import generate_rows
+from hpascal.triangle import generate_rows, nth_row
 
 
 def run(capsys, *argv):
@@ -109,6 +111,25 @@ def test_pattern_phi(capsys):
     assert out == "21\n10101\n"
 
 
+def test_a_pattern_code_past_the_digit_limit_prints_in_full(capsys):
+    code, out, _ = run(capsys, "pattern", "--n", "12")
+    assert code == 0
+    assert out.splitlines()[1] == pattern_bits(nth_row(5, 12))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_counts_past_the_digit_limit_print_in_full(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "counts", "--q", "5", "--n", "20000", "--method", "closed")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # main restores the limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == "a={} b={} s={}\n".format(*sequences.counts_coupled(5, 20000))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_pattern_check_report(capsys):
     code, out, _ = run(capsys, "pattern", "--n", "3", "--check", "prefix")
     assert code == 0
@@ -173,6 +194,17 @@ def test_verify_subset(capsys):
     lines = out.splitlines()
     assert len(lines) == 2
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_verify_prints_every_suite_in_order(tmp_path, capsys, expected_details):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert out == "".join(
+        f"PASS {name}: {detail}\n" for name, detail in expected_details.items()
+    )
+    target = tmp_path / "verify.txt"
+    assert run(capsys, "verify", "-o", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,21 +1,14 @@
-"""The verify suites share one row stream per q."""
+"""The verify suites share one row stream per q, and each reports a result."""
 
-import importlib
 import math
-from pathlib import Path
 
 import pytest
 
-from hpascal import locator, sequences, triangle, verify
+from hpascal import linrec, locator, pattern, sequences, triangle, verify
+from hpascal.cli import main
+from hpascal.quadfield import NotIntegralError
 
 ROW_SUITES = ["three-way", "alternating", "parity", "pattern", "locator", "embeddings"]
-
-
-@pytest.fixture
-def expected_details(monkeypatch):
-    """Suite name -> detail string recorded by the benchmark at the seed commit."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    return dict(importlib.import_module("workloads").VERIFY_EXPECTED)
 
 
 def test_row_suites_build_each_row_once(built_rows, locator_rows, expected_details):
@@ -103,3 +96,71 @@ def test_eta_families_are_coprime_and_in_rows_up_to_14():
         assert math.gcd(f0, f1) == 1
         for u, v in locator.recurrence_pairs(f0, f1, eta, m):
             assert locator.locate_row(u, v) <= 14
+
+
+def test_an_alternating_sum_mismatch_names_its_row(monkeypatch):
+    original = sequences.alt_sum
+    monkeypatch.setattr(sequences, "alt_sum", lambda n: original(n) + (n == 9))
+    (result,) = verify.run(["alternating"])
+    assert (result.passed, result.detail) == (False, "alternating sum of generated row 9")
+
+
+def test_a_central_value_failure_names_its_k(monkeypatch):
+    original = pattern.central_value_holds
+    monkeypatch.setattr(
+        pattern, "central_value_holds", lambda k, cell: k != 4 and original(k, cell)
+    )
+    (result,) = verify.run(["pattern"])
+    assert (result.passed, result.detail) == (False, "central value 2^4 fails at k=4")
+
+
+def test_a_misplaced_spot_pair_names_its_cell(monkeypatch):
+    spots = (*verify.LOCATOR_SPOTS[:-1], ((4, 6), 6, 27))  # the pair is at column 28
+    monkeypatch.setattr(verify, "LOCATOR_SPOTS", spots)
+    (result,) = verify.run(["locator"])
+    assert (result.passed, result.detail) == (False, "spot pair (4,6): got row 6 col 28")
+
+
+def test_a_wrong_elimination_names_its_system(monkeypatch):
+    influence = linrec.CoupledSystem(-4, -8, -6, 2, 4, 2)
+    original = linrec.eliminate
+    monkeypatch.setattr(
+        linrec, "eliminate", lambda s: (1, 0, 1) if s == influence else original(s)
+    )
+    (result,) = verify.run(["elimination"])
+    assert (result.passed, result.detail) == (False, "alternating-influence system: (1, 0, 1)")
+
+
+def _inexact_at(closed_form, at, message):
+    def inexact(q, n):
+        if (q, n) == at:
+            raise NotIntegralError(message)
+        return closed_form(q, n)
+
+    return inexact
+
+
+def test_an_inexact_closed_sum_names_its_q_and_n(monkeypatch):
+    inexact = _inexact_at(sequences.sums_closed, (7, 30), "7/2 is not an integer")
+    monkeypatch.setattr(sequences, "sums_closed", inexact)
+    (result,) = verify.run(["exactness"])
+    assert (result.passed, result.detail) == (
+        False, "closed form q=7 n=30: 7/2 is not an integer"
+    )
+
+
+def test_a_raising_closed_form_fails_its_suites_and_the_rest_still_run(
+    monkeypatch, capsys, expected_details
+):
+    inexact = _inexact_at(sequences.counts_closed, (6, 7), "5/2 is not an integer")
+    monkeypatch.setattr(sequences, "counts_closed", inexact)
+    failing = {
+        "three-way": "NotIntegralError: 5/2 is not an integer",
+        "exactness": "closed form q=6 n=7: 5/2 is not an integer",
+    }
+    # one run through the CLI, which prints each of verify.run()'s results
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out == "".join(
+        f"FAIL {name}: {failing[name]}\n" if name in failing else f"PASS {name}: {detail}\n"
+        for name, detail in expected_details.items()
+    )
