@@ -6,6 +6,7 @@ never carries numbers that might get read back as floats.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import IO, Iterable
 
 from .triangle import DEFAULT_CELL_BUDGET, Row, TYPE_A, child_edges, generate_rows
@@ -47,10 +48,12 @@ def write_dot(
     Kind-A cells are drawn as ellipses, kind-B cells and wingers as
     boxes.  Node ids are n<row>_<col>.
     """
+    rows = generate_rows(q, n_max, cell_budget)
+    first = next(rows)  # rejects bad arguments before anything is written
     fp.write("digraph triangle {\n")
     fp.write("  rankdir=TB;\n")
     prev: Row | None = None
-    for row in generate_rows(q, n_max, cell_budget):
+    for row in chain([first], rows):
         for k, (value, kind) in enumerate(zip(row.values, row.kinds)):
             shape = "ellipse" if kind == TYPE_A else "box"
             fp.write(f'  n{row.n}_{k} [label="{value}", shape={shape}];\n')

@@ -94,6 +94,12 @@ def _count_streams(q: int) -> list[Iterator[int]]:
     return [_ternary(x, q - 1, -(q - 1), 1) for x in seeds]
 
 
+def _sum_streams(q: int) -> list[Iterator[int]]:
+    """Ternary streams of the A, B and whole-row sums over rows 1, 2, ..."""
+    seeds = ((0, 2, 6), (0, 0, 2 * (q - 4)), (2, 4, 2 * q))  # rows 1..3
+    return [_ternary(x, q, -(q + 1), 2) for x in seeds]
+
+
 def _ternary_counts(q: int) -> Iterator[CountTriple]:
     """Counts of rows 1, 2, ... by the ternary route (twin of _coupled_counts)."""
     return map(CountTriple, *_count_streams(q))
@@ -108,9 +114,7 @@ def counts_ternary(q: int, n: int) -> CountTriple:
 
 def sums_ternary(q: int, n: int) -> SumTriple:
     _check_args(q, n)
-    seeds = ((0, 2, 6), (0, 0, 2 * (q - 4)), (2, 4, 2 * q))  # rows 1..3
-    streams = (_ternary(x, q, -(q + 1), 2) for x in seeds)
-    return SumTriple(*(next(islice(s, n - 1, None)) for s in streams))
+    return SumTriple(*(next(islice(s, n - 1, None)) for s in _sum_streams(q)))
 
 
 def _closed(coef: QuadElem, root_power: QuadElem, shift: int) -> int:
@@ -209,7 +213,7 @@ def weighted_sum(n: int, v: int, w: int) -> int:
     """
     if n < 1:
         raise ValueError("row index must be at least 1")
-    total = sums_ternary(5, n).s
+    total = next(islice(_sum_streams(5)[2], n - 1, None))
     alt = alt_sum(n)
     if (total + alt) % 2:
         raise ArithmeticError(f"row sum and alternating sum disagree mod 2 at n={n}")

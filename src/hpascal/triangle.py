@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, pairwise
 from typing import Iterator, NamedTuple
 
 WINGER = "W"
@@ -88,39 +88,19 @@ def initial_row() -> Row:
 
 def next_row(row: Row, q: int) -> Row:
     _check_q(q)
-    vals = row.values
-    kinds = row.kinds
-    m = len(vals)
-    if m == 1:
+    if len(row.values) == 1:
         # both downward edges of the base vertex become wingers
         return Row(row.n + 1, [1, 1], WINGER + WINGER)
-
-    a_fill = q - 4
-    b_fill = q - 3
-
-    out_vals: list[int] = [1]
-    append_val = out_vals.append
-    extend_vals = out_vals.extend
-
-    prev = vals[0]
-    for i in range(1, m):
-        if i > 1:
-            # kind-B children of the inner parent i-1, before its right merge
-            if kinds[i - 1] == TYPE_A:
-                if a_fill:
-                    extend_vals([prev] * a_fill)
-            else:
-                extend_vals([prev] * b_fill)
-        cur = vals[i]
-        append_val(prev + cur)
-        prev = cur
-    append_val(1)
-    # each inner parent's kind-B children and then its right merge, in one pass
-    children = str.maketrans(
-        {TYPE_A: TYPE_B * a_fill + TYPE_A, TYPE_B: TYPE_B * b_fill + TYPE_A}
-    )
-    inner = kinds[1:-1].translate(children)
-    return Row(row.n + 1, out_vals, f"{WINGER}{TYPE_A}{inner}{WINGER}")
+    # each parent but the right winger: its kind-B copies, then its merge with the next
+    fill = {WINGER: 0, TYPE_A: q - 4, TYPE_B: q - 3}
+    out_vals = [1]
+    for kind, (v, w) in zip(row.kinds, pairwise(row.values)):
+        out_vals += [v] * fill[kind]
+        out_vals.append(v + w)
+    out_vals.append(1)
+    children = str.maketrans({kind: TYPE_B * k + TYPE_A for kind, k in fill.items()})
+    kinds = row.kinds[:-1].translate(children)
+    return Row(row.n + 1, out_vals, f"{WINGER}{kinds}{WINGER}")
 
 
 def _coupled_counts(q: int) -> Iterator[tuple[int, int]]:

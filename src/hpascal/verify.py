@@ -77,14 +77,21 @@ class RowReader:
     """What one suite keeps of the rows it reads, never a row.
 
     stream() calls feed(q, row) once for each row 0..last[q] of each q,
-    in order; feed keeps keep(row) in kept[q, n].
+    in order; feed keeps keep(row) in kept[q, n].  The first check
+    failure keep raises is kept in error, for run to fail the suite with,
+    and nothing more is kept.
     """
 
     def __init__(self, last: dict[int, int], keep: Callable[[Row], object]) -> None:
         self.last, self.keep, self.kept = last, keep, {}
+        self.error: Exception | None = None
 
     def feed(self, q: int, row: Row) -> None:
-        self.kept[q, row.n] = self.keep(row)
+        if self.error is None:
+            try:
+                self.kept[q, row.n] = self.keep(row)
+            except CHECK_FAILURES as exc:
+                self.error = exc
 
 
 def stream(readers: list[RowReader]) -> None:
@@ -394,8 +401,11 @@ def run(names: Iterable[str] | None = None) -> list[CheckResult]:
     stream(list(fed.values()))
     results = []
     for name in picked:
+        seen = [fed[name]] if name in fed else []
         try:
-            passed, detail = True, SUITES[name](*([fed[name]] if name in fed else []))
+            if seen and seen[0].error is not None:
+                raise seen[0].error
+            passed, detail = True, SUITES[name](*seen)
         except SuiteFailure as exc:
             passed, detail = False, str(exc)
         except CHECK_FAILURES as exc:

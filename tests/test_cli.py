@@ -99,6 +99,14 @@ def test_rows_dot(capsys):
     assert "n1_0 -> n2_1;" in out
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("--q", "3", "--n-max", "2"), "error: q must be at least 4, got 3\n"),
+    (("--q", "5", "--n-max", "-1"), "error: n_max must be nonnegative\n"),
+], ids=["q", "n-max"])
+def test_rows_dot_writes_nothing_before_a_usage_error(capsys, argv, err):
+    assert run(capsys, "rows", *argv, "--format", "dot") == (2, "", err)
+
+
 def test_rows_budget_exceeded(capsys):
     code, _, err = run(capsys, "rows", "--q", "5", "--n-max", "20", "--budget", "100")
     assert code == 3

@@ -217,7 +217,7 @@ def test_coupled_counts_agree_with_generated_rows(q, budget):
         assert row_counts(row) == (a, b, a + b + 2)
 
 
-@pytest.mark.parametrize("q", range(4, 13))
+@pytest.mark.parametrize("q", range(4, 31))
 def test_next_row_matches_the_cell_by_cell_builder(q):
     expected = initial_row()
     # q = 4 rows grow by one cell a row, so cap the depth as well as the size

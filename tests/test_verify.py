@@ -164,3 +164,26 @@ def test_a_raising_closed_form_fails_its_suites_and_the_rest_still_run(
         f"FAIL {name}: {failing[name]}\n" if name in failing else f"PASS {name}: {detail}\n"
         for name, detail in expected_details.items()
     )
+
+
+def test_a_raising_row_reader_fails_only_its_suite(monkeypatch, capsys, built_rows):
+    original = sequences.alt_triple_from_row
+
+    def raising(row):
+        if row.n == 5:
+            raise ArithmeticError("signed sums overflow at row 5")
+        return original(row)
+
+    monkeypatch.setattr(sequences, "alt_triple_from_row", raising)
+    detail = verify.elimination()
+    results = verify.run(["alternating", "elimination"])
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("alternating", False, "ArithmeticError: signed sums overflow at row 5"),
+        ("elimination", True, detail),
+    ]
+    assert built_rows == [(5, n) for n in range(1, 18)]  # every row still built once
+    assert main(["verify", "alternating", "elimination"]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL alternating: ArithmeticError: signed sums overflow at row 5\n"
+        f"PASS elimination: {detail}\n"
+    )
