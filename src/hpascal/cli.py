@@ -30,13 +30,35 @@ EXIT_FAIL = 1
 EXIT_BUDGET = 3
 
 
+class _OutFile:
+    """The -o file, opened (so truncated) only at the first write."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.fp = None
+
+    def write(self, text: str) -> int:
+        if self.fp is None:
+            self.fp = open(self.path, "w", encoding="utf-8")
+        return self.fp.write(text)
+
+    def close(self) -> None:
+        if self.fp is not None:
+            self.fp.close()
+
+
 @contextmanager
 def _open_out(path: str | None):
+    # a command that fails before its first write leaves the file as it was
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fp:
-            yield fp
+        return
+    out = _OutFile(path)
+    try:
+        yield out
+        out.write("")  # a command that succeeds without output still makes the file
+    finally:
+        out.close()
 
 
 def _print_json(obj, fp) -> None:

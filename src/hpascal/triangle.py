@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, pairwise
+from itertools import chain, compress, islice
+from operator import add
 from typing import Iterator, NamedTuple
 
 WINGER = "W"
@@ -88,19 +89,22 @@ def initial_row() -> Row:
 
 def next_row(row: Row, q: int) -> Row:
     _check_q(q)
-    if len(row.values) == 1:
-        # both downward edges of the base vertex become wingers
-        return Row(row.n + 1, [1, 1], WINGER + WINGER)
-    # each parent but the right winger: its kind-B copies, then its merge with the next
+    # one slot word: the new wingers at the ends and, for each parent but the
+    # right winger, q-3 copy slots then its merge with the next; a parent
+    # with fewer kind-B copies leaves its first slots empty
     fill = {WINGER: 0, TYPE_A: q - 4, TYPE_B: q - 3}
-    out_vals = [1]
-    for kind, (v, w) in zip(row.kinds, pairwise(row.values)):
-        out_vals += [v] * fill[kind]
-        out_vals.append(v + w)
-    out_vals.append(1)
-    children = str.maketrans({kind: TYPE_B * k + TYPE_A for kind, k in fill.items()})
-    kinds = row.kinds[:-1].translate(children)
-    return Row(row.n + 1, out_vals, f"{WINGER}{kinds}{WINGER}")
+    word = f"{WINGER}{row.kinds[:-1].lower()}{WINGER}".encode()
+    for kind, k in fill.items():
+        pattern = b"\0" * (q - 3 - k) + (TYPE_B * k + TYPE_A).encode()
+        word = word.replace(kind.lower().encode(), pattern)
+    # kinds first and no slice of row.values: kinds built after the values,
+    # or a copy of the values, raise the peak over the locator's kept rows
+    kinds = word.replace(b"\0", b"").decode()
+    vals = row.values
+    copies = [iter(vals) for _ in range(q - 3)]
+    merges = map(add, vals, islice(vals, 1, None))
+    slots = chain((1,), chain.from_iterable(zip(*copies, merges)), (1,))
+    return Row(row.n + 1, list(compress(slots, word)), kinds)
 
 
 def _coupled_counts(q: int) -> Iterator[tuple[int, int]]:

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from hpascal import sequences
+from hpascal import sequences, verify
 from hpascal.cli import main
 from hpascal.export import row_as_json
 from hpascal.pattern import pattern_bits
@@ -232,6 +232,48 @@ def test_output_file(tmp_path, capsys):
     code = main(["rows", "--q", "5", "--n-max", "2", "-o", str(target)])
     assert code == 0
     assert target.read_text() == "1\n1,1\n1,2,1\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "dot"])
+def test_output_file_holds_the_bytes_of_stdout(tmp_path, capsys, fmt):
+    argv = ["rows", "--q", "6", "--n-max", "5", "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "rows.out"
+    assert run(capsys, *argv, "-o", str(target)) == (code, "", "")
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rows", "--q", "3", "--n-max", "2"],
+    ["counts", "--q", "3", "--n", "2"],
+    ["locate", "--u", "0", "--v", "2"],
+])
+def test_usage_error_leaves_the_output_file_as_it_was(tmp_path, capsys, argv):
+    target = tmp_path / "out.txt"
+    target.write_text("kept\n")
+    code, out, err = run(capsys, *argv, "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert target.read_text() == "kept\n"
+
+
+def test_budget_error_keeps_the_rows_already_written(tmp_path, capsys):
+    target = tmp_path / "rows.csv"
+    code, _, err = run(
+        capsys, "rows", "--q", "5", "--n-max", "20", "--budget", "100", "-o", str(target)
+    )
+    assert (code, err) == (3, "error: row 7 exceeds the cell budget (146 cells)\n")
+    assert target.read_text() == "".join(
+        ",".join(map(str, row.values)) + "\n" for row in generate_rows(5, 6)
+    )
+
+
+def test_success_without_output_still_writes_the_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(verify, "run", lambda suites: [])
+    target = tmp_path / "out.txt"
+    target.write_text("old\n")
+    assert run(capsys, "verify", "-o", str(target)) == (0, "", "")
+    assert target.read_bytes() == b""
 
 
 def _raise(exc):

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -27,7 +28,7 @@ ROW4 = [1, 4, 3, 5, 2, 2, 5, 3, 4, 1]
 ROW5 = [1, 5, 4, 7, 3, 3, 8, 5, 7, 2, 2, 4, 2, 2, 7, 5, 8, 3, 3, 7, 4, 5, 1]
 
 
-@pytest.mark.parametrize("q", [4, 5, 6, 9])
+@pytest.mark.parametrize("q", range(4, 31))
 def test_first_three_rows_are_q_independent(q):
     row = initial_row()
     assert (row.values, row.kinds) == ([1], "W")
@@ -236,3 +237,26 @@ def test_rows_of_any_q_are_palindromes_built_from_their_parents(q, budget, depth
         assert_children_come_from_parents(parent_row, child_row, q)
     for row in rows[1:]:
         assert row_sums(row) == tuple(sequences.sums_coupled(q, row.n))
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_next_row_leaves_its_parent_unchanged(q):
+    parent = nth_row(q, 6)
+    values, cells, kinds = parent.values, list(parent.values), parent.kinds
+    next_row(parent, q)
+    assert parent.values is values and parent.values == cells
+    assert parent.kinds is kinds
+
+
+def test_next_row_never_copies_its_parent_values():
+    # the locator keeps q = 5 rows 0..18, so a copy of a parent's values
+    # (8 bytes a cell) would show in every later peak
+    parent = nth_row(5, 13)
+    tracemalloc.start()
+    try:
+        child = next_row(parent, 5)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(child) > len(parent)
+    assert (peak - held) / len(parent) <= 4
