@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 failed check or located-pair failure (an exact
 value that is not an integer, or an arithmetic inconsistency, counts as
-a failed check), 2 usage error, 3 cell budget exceeded.  Results print
-in full, however many digits they have.
+a failed check), 2 usage error (an -o path that cannot be opened is
+one), 3 cell budget exceeded.  Results print in full, however many
+digits they have.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import argparse
 import functools
 import json
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 
 from . import export, linrec, locator, pattern, sequences, verify
 from .triangle import (
@@ -30,49 +31,37 @@ EXIT_FAIL = 1
 EXIT_BUDGET = 3
 
 
-class _OutFile:
-    """The -o file, opened (so truncated) only at the first write."""
+class _Output:
+    """Stdout, or the -o file opened (so truncated) only at the first write."""
 
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.fp = None
+    def __init__(self, path: str | None) -> None:
+        self.path = None if path == "-" else path
+        self.fp = sys.stdout if self.path is None else None
 
     def write(self, text: str) -> int:
         if self.fp is None:
-            self.fp = open(self.path, "w", encoding="utf-8")
+            try:
+                self.fp = open(self.path, "w", encoding="utf-8")
+            except OSError as exc:
+                raise ValueError(f"cannot write {self.path}: {exc.strerror}") from None
         return self.fp.write(text)
 
     def close(self) -> None:
-        if self.fp is not None:
+        if self.path is not None and self.fp is not None:
             self.fp.close()
-
-
-@contextmanager
-def _open_out(path: str | None):
-    # a command that fails before its first write leaves the file as it was
-    if path is None or path == "-":
-        yield sys.stdout
-        return
-    out = _OutFile(path)
-    try:
-        yield out
-        out.write("")  # a command that succeeds without output still makes the file
-    finally:
-        out.close()
 
 
 def _print_json(obj, fp) -> None:
     fp.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def cmd_rows(args) -> int:
-    with _open_out(args.output) as fp:
-        if args.format == "csv":
-            export.write_csv(generate_rows(args.q, args.n_max, args.budget), fp)
-        elif args.format == "json":
-            export.write_json(generate_rows(args.q, args.n_max, args.budget), fp)
-        else:
-            export.write_dot(args.q, args.n_max, fp, args.budget)
+def cmd_rows(args, fp) -> int:
+    if args.format == "csv":
+        export.write_csv(generate_rows(args.q, args.n_max, args.budget), fp)
+    elif args.format == "json":
+        export.write_json(generate_rows(args.q, args.n_max, args.budget), fp)
+    else:
+        export.write_dot(args.q, args.n_max, fp, args.budget)
     return EXIT_OK
 
 
@@ -88,71 +77,62 @@ def _verdict(fp, agree: bool) -> int:
     return EXIT_OK if agree else EXIT_FAIL
 
 
-def _run_triple_command(kind: str, args) -> int:
+def _run_triple_command(kind: str, args, fp) -> int:
     keys = ("a", "b", "s") if kind == "counts" else ("sumA", "sumB", "sum")
-    with _open_out(args.output) as fp:
-        if args.cross_check:
-            methods = ["coupled", "ternary", "generate"]
-            if not (kind == "counts" and args.q == 4):
-                methods.insert(2, "closed")
-            results = {
-                m: _triple_by_method(kind, args.q, args.n, m, args.budget)
-                for m in methods
-            }
-            for m, triple in results.items():
-                fp.write(
-                    f"{m}: " + " ".join(f"{k}={v}" for k, v in zip(keys, triple)) + "\n"
-                )
-            return _verdict(fp, len(set(results.values())) == 1)
-        triple = _triple_by_method(kind, args.q, args.n, args.method, args.budget)
-        if args.json:
-            obj = {"q": args.q, "n": args.n}
-            obj.update({k: str(v) for k, v in zip(keys, triple)})
-            _print_json(obj, fp)
-        else:
-            fp.write(" ".join(f"{k}={v}" for k, v in zip(keys, triple)) + "\n")
+    if args.cross_check:
+        methods = ["coupled", "ternary", "generate"]
+        if not (kind == "counts" and args.q == 4):
+            methods.insert(2, "closed")
+        results = {
+            m: _triple_by_method(kind, args.q, args.n, m, args.budget) for m in methods
+        }
+        for m, triple in results.items():
+            fp.write(
+                f"{m}: " + " ".join(f"{k}={v}" for k, v in zip(keys, triple)) + "\n"
+            )
+        return _verdict(fp, len(set(results.values())) == 1)
+    triple = _triple_by_method(kind, args.q, args.n, args.method, args.budget)
+    if args.json:
+        obj = {"q": args.q, "n": args.n}
+        obj.update({k: str(v) for k, v in zip(keys, triple)})
+        _print_json(obj, fp)
+    else:
+        fp.write(" ".join(f"{k}={v}" for k, v in zip(keys, triple)) + "\n")
     return EXIT_OK
 
 
-def cmd_altsum(args) -> int:
-    with _open_out(args.output) as fp:
-        if args.weights is not None:
-            v, w = args.weights
-            value = sequences.weighted_sum(args.n, v, w)
-        else:
-            value = sequences.alt_sum(args.n)
-        if args.cross_check:
-            row = nth_row(5, args.n, args.budget)
-            if args.weights is not None:
-                direct = sum(
-                    (v if i % 2 == 0 else w) * x for i, x in enumerate(row.values)
-                )
-            else:
-                direct = sequences.alt_triple_from_row(row).total
-            fp.write(f"formula: {value}\nrow: {direct}\n")
-            return _verdict(fp, direct == value)
-        if args.json:
-            _print_json({"n": args.n, "value": str(value)}, fp)
-        else:
-            fp.write(f"{value}\n")
+def cmd_altsum(args, fp) -> int:
+    v, w = args.weights or (1, -1)
+    if args.weights is not None:
+        value = sequences.weighted_sum(args.n, v, w)
+    else:
+        value = sequences.alt_sum(args.n)
+    if args.cross_check:
+        vals = nth_row(5, args.n, args.budget).values
+        direct = v * sum(islice(vals, 0, None, 2)) + w * sum(islice(vals, 1, None, 2))
+        fp.write(f"formula: {value}\nrow: {direct}\n")
+        return _verdict(fp, direct == value)
+    if args.json:
+        _print_json({"n": args.n, "value": str(value)}, fp)
+    else:
+        fp.write(f"{value}\n")
     return EXIT_OK
 
 
-def cmd_pattern(args) -> int:
-    with _open_out(args.output) as fp:
-        if args.check == "phi":
-            value = pattern.pattern_int(args.n, args.budget)
-            fp.write(f"{value}\n{value:b}\n")
-            return EXIT_OK
-        checker = {
-            "prefix": pattern.check_prefix,
-            "central-copy": pattern.check_central_copy,
-            "central-value": pattern.check_central_value,
-            "recurrence": pattern.check_pattern_recurrence,
-        }[args.check]
-        passed = checker(args.n, args.budget)
-        _print_json({"n": args.n, "check": args.check, "pass": passed}, fp)
-        return EXIT_OK if passed else EXIT_FAIL
+def cmd_pattern(args, fp) -> int:
+    if args.check == "phi":
+        value = pattern.pattern_int(args.n, args.budget)
+        fp.write(f"{value}\n{value:b}\n")
+        return EXIT_OK
+    checker = {
+        "prefix": pattern.check_prefix,
+        "central-copy": pattern.check_central_copy,
+        "central-value": pattern.check_central_value,
+        "recurrence": pattern.check_pattern_recurrence,
+    }[args.check]
+    passed = checker(args.n, args.budget)
+    _print_json({"n": args.n, "check": args.check, "pass": passed}, fp)
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 def _location_as_json(loc: locator.PairLocation) -> dict:
@@ -167,40 +147,44 @@ def _location_as_json(loc: locator.PairLocation) -> dict:
     }
 
 
-def cmd_locate(args) -> int:
-    with _open_out(args.output) as fp:
-        loc = locator.locate_pair(args.u, args.v, args.budget)
+def cmd_locate(args, fp) -> int:
+    _print_json(_location_as_json(locator.locate_pair(args.u, args.v, args.budget)), fp)
+    return EXIT_OK
+
+
+def cmd_embed(args, fp) -> int:
+    locs = locator.embed_recurrence(args.f0, args.f1, args.eta, args.terms, args.budget)
+    for loc in locs:
         _print_json(_location_as_json(loc), fp)
     return EXIT_OK
 
 
-def cmd_embed(args) -> int:
-    with _open_out(args.output) as fp:
-        locs = locator.embed_recurrence(
-            args.f0, args.f1, args.eta, args.terms, args.budget
-        )
-        for loc in locs:
-            _print_json(_location_as_json(loc), fp)
-    return EXIT_OK
-
-
-def cmd_eliminate(args) -> int:
+def cmd_eliminate(args, fp) -> int:
     system = linrec.CoupledSystem(args.a1, args.b1, args.c1, args.a2, args.b2, args.c2)
-    with _open_out(args.output) as fp:
-        coeffs = linrec.eliminate(system)
-        fp.write(f"ternary: {coeffs.a} {coeffs.b} {coeffs.c}\n")
-        if args.c1 == 0 and args.c2 == 0:
-            a_bin, b_bin = linrec.eliminate_homogeneous(system)
-            fp.write(f"binary: {a_bin} {b_bin}\n")
+    coeffs = linrec.eliminate(system)
+    fp.write(f"ternary: {coeffs.a} {coeffs.b} {coeffs.c}\n")
+    if args.c1 == 0 and args.c2 == 0:
+        a_bin, b_bin = linrec.eliminate_homogeneous(system)
+        fp.write(f"binary: {a_bin} {b_bin}\n")
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, fp) -> int:
     results = verify.run(args.suites or None)
-    with _open_out(args.output) as fp:
-        for res in results:
-            fp.write(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}\n")
+    for res in results:
+        fp.write(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}\n")
     return EXIT_OK if all(res.passed for res in results) else EXIT_FAIL
+
+
+def _fraction(text: str) -> Fraction:
+    # argparse makes a usage error of ValueError, not of ZeroDivisionError (1/0)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError from None
+
+
+_fraction.__name__ = Fraction.__name__  # argparse: "invalid Fraction value: '1/0'"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eliminate", help="coupled system to single recurrence")
     for coeff in ("a1", "b1", "c1", "a2", "b2", "c2"):
-        p.add_argument(f"--{coeff}", type=Fraction, required=True)
+        p.add_argument(f"--{coeff}", type=_fraction, required=True)
     add_common(p, budget=False)
     p.set_defaults(func=cmd_eliminate)
 
@@ -296,13 +280,16 @@ def main(argv=None) -> int:
     # argv keeps Python's int-to-str digit limit (0: none, as on older builds);
     # results print in full
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    out = _Output(args.output)
     try:
         # here, so every command that takes a budget rejects it, whatever its route
         if getattr(args, "budget", 1) < 1:
             raise ValueError("cell budget must be positive")
         if limit:
             sys.set_int_max_str_digits(0)
-        return args.func(args)
+        code = args.func(args, out)
+        out.write("")  # a command that succeeds without output still makes the file
+        return code
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -313,6 +300,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
+        out.close()
         if limit:
             sys.set_int_max_str_digits(limit)
 

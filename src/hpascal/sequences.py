@@ -100,11 +100,6 @@ def _sum_streams(q: int) -> list[Iterator[int]]:
     return [_ternary(x, q, -(q + 1), 2) for x in seeds]
 
 
-def _ternary_counts(q: int) -> Iterator[CountTriple]:
-    """Counts of rows 1, 2, ... by the ternary route (twin of _coupled_counts)."""
-    return map(CountTriple, *_count_streams(q))
-
-
 # counts_ternary and sums_ternary run each stream to row n on its own: stepping
 # the three together, a triple per row, is slower on the `sequences` benchmark
 def counts_ternary(q: int, n: int) -> CountTriple:

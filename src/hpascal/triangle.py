@@ -194,10 +194,6 @@ def child_edges(kinds: str, q: int) -> Iterator[tuple[int, int]]:
     """
     _check_q(q)
     m = len(kinds)
-    if m == 1:
-        yield 0, 0
-        yield 0, 1
-        return
     fill = {WINGER: 0, TYPE_A: q - 4, TYPE_B: q - 3}
     yield 0, 0
     c = 1

@@ -186,8 +186,8 @@ def _row_lengths() -> RowReader:
 
 def parity(seen: RowReader) -> str:
     """Row-size parity rule: even exactly at n = 3t+1 (q = 5)."""
-    for n, counts in enumerate(islice(sequences._ternary_counts(5), 1000), 1):
-        if counts.s % 2 != sequences.parity_s(n):
+    for n, s in enumerate(islice(sequences._count_streams(5)[2], 1000), 1):
+        if s % 2 != sequences.parity_s(n):
             raise SuiteFailure(f"ternary parity mismatch at n={n}")
     for (_, n), length in seen.kept.items():
         if n and length % 2 != sequences.parity_s(n):

@@ -215,10 +215,22 @@ def test_verify_prints_every_suite_in_order(tmp_path, capsys, expected_details):
     assert target.read_bytes() == out.encode()
 
 
+_COEFFS = ("--b1", "0", "--c1", "0", "--a2", "0", "--b2", "0", "--c2", "0")
+
+
 def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc_info:
-        main(["rows", "--q", "not-a-number", "--n-max", "3"])
-    assert exc_info.value.code == 2
+    for argv, err in [
+        (["rows", "--q", "not-a-number", "--n-max", "3"],
+         "argument --q: invalid int value: 'not-a-number'"),
+        (["eliminate", "--a1", "x", *_COEFFS],
+         "argument --a1: invalid Fraction value: 'x'"),
+        (["eliminate", "--a1", "1/0", *_COEFFS],
+         "argument --a1: invalid Fraction value: '1/0'"),
+    ]:
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {err}\n")
 
 
 def test_output_is_deterministic(capsys):
@@ -234,13 +246,42 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text() == "1\n1,1\n1,2,1\n"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json", "dot"])
-def test_output_file_holds_the_bytes_of_stdout(tmp_path, capsys, fmt):
-    argv = ["rows", "--q", "6", "--n-max", "5", "--format", fmt]
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(("rows", "--q", "6", "--n-max", "5", "--format", fmt), id=fmt)
+      for fmt in ("csv", "json", "dot")),
+    ("counts", "--q", "5", "--n", "6"),
+    pytest.param(("sums", "--q", "7", "--n", "5", "--json"), id="sums-json"),
+    pytest.param(
+        ("altsum", "--n", "8", "--weights", "2", "3", "--cross-check"),
+        id="altsum-cross-check",
+    ),
+    ("pattern", "--n", "6"),
+    ("locate", "--u", "3", "--v", "5"),
+    ("embed", "--f0", "1", "--f1", "2", "--eta", "2", "--terms", "3"),
+    ("eliminate", "--a1", "3/2", "--b1", "1", "--c1", "0",
+     "--a2", "2", "--b2", "1/2", "--c2", "0"),
+    ("verify", "euclidean-oracle", "elimination"),
+], ids=lambda argv: argv[0])
+def test_output_file_holds_the_bytes_of_stdout(tmp_path, capsys, argv):
     code, out, _ = run(capsys, *argv)
-    target = tmp_path / "rows.out"
+    target = tmp_path / "command.out"
     assert run(capsys, *argv, "-o", str(target)) == (code, "", "")
     assert target.read_bytes() == out.encode()
+    assert run(capsys, *argv, "-o", "-") == (code, out, "")
+
+
+@pytest.mark.parametrize("where, reason", [
+    ("missing/rows.csv", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_an_output_path_that_cannot_be_opened_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, where, reason
+):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "rows", "--q", "5", "--n-max", "2", "-o", where) == (
+        2, "", f"error: cannot write {where}: {reason}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
