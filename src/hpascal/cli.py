@@ -194,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, budget=True):
+    def add_common(p, func, budget=True):
+        p.set_defaults(func=func)
         p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
         if budget:
             p.add_argument(
@@ -208,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json", "dot"), default="csv")
-    add_common(p)
-    p.set_defaults(func=cmd_rows)
+    add_common(p, cmd_rows)
 
     for kind in ("counts", "sums"):
         p = sub.add_parser(kind, help=f"per-row {kind} by any method")
@@ -222,16 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--cross-check", action="store_true")
         p.add_argument("--json", action="store_true")
-        add_common(p)
-        p.set_defaults(func=functools.partial(_run_triple_command, kind))
+        add_common(p, functools.partial(_run_triple_command, kind))
 
     p = sub.add_parser("altsum", help="alternating or weighted row sum (q=5)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weights", type=int, nargs=2, metavar=("V", "W"))
     p.add_argument("--cross-check", action="store_true")
     p.add_argument("--json", action="store_true")
-    add_common(p)
-    p.set_defaults(func=cmd_altsum)
+    add_common(p, cmd_altsum)
 
     p = sub.add_parser("pattern", help="row pattern code and checks (q=5)")
     p.add_argument("--n", type=int, required=True, help="row index (k for central-value)")
@@ -240,28 +238,24 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("phi", "recurrence", "prefix", "central-copy", "central-value"),
         default="phi",
     )
-    add_common(p)
-    p.set_defaults(func=cmd_pattern)
+    add_common(p, cmd_pattern)
 
     p = sub.add_parser("locate", help="place (u,v) as row neighbours (q=5)")
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--v", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_locate)
+    add_common(p, cmd_locate)
 
     p = sub.add_parser("embed", help="locate a binary recurrence's pairs (q=5)")
     p.add_argument("--f0", type=int, required=True)
     p.add_argument("--f1", type=int, required=True)
     p.add_argument("--eta", type=int, required=True)
     p.add_argument("--terms", "-m", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_embed)
+    add_common(p, cmd_embed)
 
     p = sub.add_parser("eliminate", help="coupled system to single recurrence")
     for coeff in ("a1", "b1", "c1", "a2", "b2", "c2"):
         p.add_argument(f"--{coeff}", type=_fraction, required=True)
-    add_common(p, budget=False)
-    p.set_defaults(func=cmd_eliminate)
+    add_common(p, cmd_eliminate, budget=False)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument(
@@ -269,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help=f"suites to run (default: all): {', '.join(verify.SUITES)}",
     )
-    add_common(p, budget=False)
-    p.set_defaults(func=cmd_verify)
+    add_common(p, cmd_verify, budget=False)
 
     return parser
 

@@ -24,14 +24,6 @@ def write_csv(rows: Iterable[Row], fp: IO[str]) -> None:
         fp.write("\n")
 
 
-def row_as_json(row: Row) -> dict:
-    return {
-        "n": row.n,
-        "values": [str(v) for v in row.values],
-        "kinds": list(row.kinds),
-    }
-
-
 def write_json(rows: Iterable[Row], fp: IO[str]) -> None:
     """One JSON object {n, values, kinds} per line; no digit or kind needs escaping."""
     for row in rows:

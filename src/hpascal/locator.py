@@ -58,6 +58,9 @@ class LocationFailure(Exception):
         self.u, self.v, self.row = u, v, row
         super().__init__(f"pair ({u}, {v}) not adjacent anywhere in row {row}")
 
+    def __reduce__(self):  # rebuilt from the fields, not from the message
+        return type(self), (self.u, self.v, self.row)
+
 
 class DescentStep(NamedTuple):
     descend: int
@@ -111,25 +114,15 @@ def euclid_chain(u: int, v: int) -> EuclidChain:
 
 def locate_row(u: int, v: int) -> int:
     """A row of the q = 5 triangle containing u and v as neighbours."""
-    if not 1 <= u <= v:
-        raise ValueError(f"need 1 <= u <= v, got ({u}, {v})")
-    if u == 1:
-        return v
-    if u == v:
-        return v + 2
-    chain = euclid_chain(u, v)
-    if chain.gcd == 1:
-        return chain.penultimate + chain.r
-    d = chain.gcd
-    return (d + 1) + locate_row(u // d, v // d)
+    return sum(step.descend for step in descent_trace(u, v))
 
 
 def descent_trace(u: int, v: int) -> list[DescentStep]:
-    """Row-by-row descent evidence; the step counts sum to locate_row."""
+    """Row-by-row descent evidence; its step counts sum to the pair's row."""
     if not 1 <= u <= v:
         raise ValueError(f"need 1 <= u <= v, got ({u}, {v})")
     if u == 1 or u == v:
-        return [DescentStep(locate_row(u, v), "left")]
+        return [DescentStep(v if u == 1 else v + 2, "left")]
     chain = euclid_chain(u, v)
     if chain.gcd == 1:
         steps = [DescentStep(chain.penultimate, "left")]

@@ -50,6 +50,9 @@ class BudgetExceeded(Exception):
         detail = f" ({size} cells)" if size is not None else ""
         super().__init__(f"row {row} exceeds the cell budget{detail}")
 
+    def __reduce__(self):  # rebuilt from the fields, not from the message
+        return type(self), (self.row, self.size)
+
 
 class NoCentralCell(ValueError):
     """Row has an even number of cells, so there is no middle one."""
@@ -87,6 +90,19 @@ def initial_row() -> Row:
     return Row(0, [1], WINGER)
 
 
+class _Sized:
+    """An iterator with a known length, so list() allocates it once, exactly."""
+
+    def __init__(self, it: Iterator, n: int) -> None:
+        self.it, self.n = it, n
+
+    def __iter__(self) -> Iterator:
+        return self.it
+
+    def __len__(self) -> int:
+        return self.n
+
+
 def next_row(row: Row, q: int) -> Row:
     _check_q(q)
     # one slot word: the new wingers at the ends and, for each parent but the
@@ -104,7 +120,7 @@ def next_row(row: Row, q: int) -> Row:
     copies = [iter(vals) for _ in range(q - 3)]
     merges = map(add, vals, islice(vals, 1, None))
     slots = chain((1,), chain.from_iterable(zip(*copies, merges)), (1,))
-    return Row(row.n + 1, list(compress(slots, word)), kinds)
+    return Row(row.n + 1, list(_Sized(compress(slots, word), len(kinds))), kinds)
 
 
 def _coupled_counts(q: int) -> Iterator[tuple[int, int]]:

@@ -8,13 +8,14 @@ is exact integer or rational arithmetic.
 The suites that read generated rows (the keys of ROW_READERS) each take
 a row reader that keeps small per-row results, never rows.  A suite runs
 through `run([name])`, which streams only that suite's rows; `run` builds
-every row the named suites read once, in one stream per q, and hands it
-to each reader that reads it.
+every row the named suites read once, one q in the calling process while
+a forked worker builds the others, and hands it to each reader that reads it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,13 +95,58 @@ class RowReader:
                 self.error = exc
 
 
-def stream(readers: list[RowReader]) -> None:
-    """Build each row once and hand it to every reader that keeps it."""
-    for q in sorted({q for r in readers for q in r.last}):
+def _stream(readers: list[RowReader], qs: list[int]) -> None:
+    for q in qs:
         for row in generate_rows(q, max(r.last.get(q, -1) for r in readers)):
             for r in readers:
                 if row.n <= r.last.get(q, -1):
                     r.feed(q, row)
+
+
+def _stream_and_send(readers: list[RowReader], qs: list[int], send) -> None:
+    _stream(readers, qs)
+    send.send([(r.kept, r.error) for r in readers])
+
+
+def stream(readers: list[RowReader]) -> None:
+    """Build each row once and hand it to every reader that keeps it.
+
+    The first q streams here while one forked worker streams the rest and
+    sends back what each reader kept of them; merged in q order, the readers
+    end as after one stream of every q.  With one q, one CPU or no fork,
+    every q streams here.
+    """
+    import multiprocessing  # here, so that importing the CLI does not load it
+
+    qs = sorted({q for r in readers for q in r.last})
+    if (len(qs) < 2 or (os.cpu_count() or 1) < 2
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return _stream(readers, qs)
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    # forked: the readers and their keep functions are inherited, never pickled
+    worker = ctx.Process(target=_stream_and_send, args=(readers, qs[1:], send))
+    worker.start()
+    send.close()
+    sent = None
+    try:
+        _stream(readers, qs[:1])
+        sent = receive.recv()
+    except EOFError:  # the worker ended without sending
+        pass
+    finally:
+        receive.close()
+        if sent is None:
+            worker.kill()
+        worker.join()
+    if sent is None:
+        raise ChildProcessError(
+            f"the row worker for q in {qs[1:]} exited with code {worker.exitcode}"
+        )
+    for r, (kept, error) in zip(readers, sent):
+        if r.error is None:  # else the first q's error stands, as in one stream
+            r.kept.update(kept)
+            r.error = error
 
 
 def euclidean_oracle() -> str:
@@ -138,14 +184,15 @@ def three_way_agreement(seen: RowReader) -> str:
                 raise SuiteFailure(f"sum ternary/coupled mismatch at q={q} n={n}")
             if sequences.sums_closed(q, n) != s:
                 raise SuiteFailure(f"sum closed/coupled mismatch at q={q} n={n}")
-    for (q, n), stats in seen.kept.items():  # q, then n, ascending
-        if not n:
-            continue
-        counts, sums = stats
-        if counts != tuple(sequences.counts_coupled(q, n)):
-            raise SuiteFailure(f"generated counts mismatch at q={q} n={n}")
-        if sums != tuple(sequences.sums_coupled(q, n)):
-            raise SuiteFailure(f"generated sums mismatch at q={q} n={n}")
+    for q, last in seen.last.items():
+        for n in range(1, last + 1):
+            if (q, n) not in seen.kept:
+                raise SuiteFailure(f"generated row missing at q={q} n={n}")
+            counts, sums = seen.kept[q, n]
+            if counts != tuple(sequences.counts_coupled(q, n)):
+                raise SuiteFailure(f"generated counts mismatch at q={q} n={n}")
+            if sums != tuple(sequences.sums_coupled(q, n)):
+                raise SuiteFailure(f"generated sums mismatch at q={q} n={n}")
     return (
         f"q in {AGREEMENT_QS}: three routes agree for n=1..{AGREEMENT_N_MAX}; "
         f"{sum(seen.last.values())} generated rows match"

@@ -5,11 +5,12 @@ import pytest
 
 from hpascal import sequences, verify
 from hpascal.cli import main
-from hpascal.export import row_as_json
 from hpascal.pattern import pattern_bits
 from hpascal.quadfield import NotIntegralError, NotRationalError
 from hpascal.sequences import DegenerateDiscriminant
 from hpascal.triangle import generate_rows, nth_row
+
+from test_export import json_reference  # the reference JSON-lines encoder
 
 
 def run(capsys, *argv):
@@ -87,9 +88,7 @@ def test_rows_stdout_matches_reference_encoders(capsys, q, n_max):
     ]
     code, out, err = run(capsys, *argv, "json")
     assert (code, err) == (0, "")
-    assert out.splitlines(keepends=True) == [
-        json.dumps(row_as_json(row), separators=(",", ":")) + "\n" for row in rows
-    ]
+    assert out.splitlines(keepends=True) == json_reference(rows)
 
 
 def test_rows_dot(capsys):

@@ -3,8 +3,17 @@ import json
 
 import pytest
 
-from hpascal.export import row_as_json, write_csv, write_dot, write_json
+from hpascal.export import write_csv, write_dot, write_json
 from hpascal.triangle import generate_rows, largest_row_within, nth_row
+
+
+def row_as_json(row):
+    """The reference encoding of one row: write_json's line is its compact JSON."""
+    return {
+        "n": row.n,
+        "values": [str(v) for v in row.values],
+        "kinds": list(row.kinds),
+    }
 
 
 def csv_reference(rows):

@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +37,15 @@ def test_every_module_parses_as_the_oldest_declared_python():
             filename=path.name,
             feature_version=(3, int(floor[1])),
         )
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # verify.stream imports it when it forks, so CLI start-up does not pay for it
+    src = Path(hpascal.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, hpascal.cli; print(sorted(m for m in sys.modules"
+         " if m.partition('.')[0] == 'multiprocessing'))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout == "[]\n"

@@ -1,17 +1,26 @@
 """The verify suites share one row stream per q, and each reports a result."""
 
 import math
+import multiprocessing
+import os
+import pickle
 
 import pytest
 
 from hpascal import linrec, locator, pattern, sequences, triangle, verify
 from hpascal.cli import main
-from hpascal.quadfield import NotIntegralError
+from hpascal.quadfield import NotIntegralError, NotRationalError
 
 ROW_SUITES = ["three-way", "alternating", "parity", "pattern", "locator", "embeddings"]
 
 
-def test_row_suites_build_each_row_once(built_rows, locator_rows, expected_details):
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """verify.stream forks its worker whatever the host's CPU count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def test_row_suites_build_each_row_once(two_cpus, built_rows, locator_rows, expected_details):
     results = verify.run(ROW_SUITES)
     assert [(r.name, r.passed, r.detail) for r in results] == [
         (name, True, expected_details[name]) for name in ROW_SUITES
@@ -20,7 +29,100 @@ def test_row_suites_build_each_row_once(built_rows, locator_rows, expected_detai
     tops = {q: triangle.largest_row_within(q, triangle.DEFAULT_CELL_BUDGET)
             for q in verify.AGREEMENT_QS}
     assert sorted(built_rows) == [(q, n) for q in tops for n in range(1, tops[q] + 1)]
+    # q = 5 in the caller, q = 6, 7 and 10 in one other process
+    assert {pid for pid, q, _ in built_rows.log() if q == 5} == {os.getpid()}
+    worker = {pid for pid, q, _ in built_rows.log() if q != 5}
+    assert len(worker) == 1 and os.getpid() not in worker
     assert locator_rows == [triangle.initial_row()]  # the locator's kept rows are untouched
+
+
+def test_one_cpu_streams_every_q_in_the_caller(monkeypatch, built_rows, expected_details):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    results = verify.run(ROW_SUITES)
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        (name, True, expected_details[name]) for name in ROW_SUITES
+    ]
+    assert {pid for pid, _, _ in built_rows.log()} == {os.getpid()}
+
+
+def test_three_way_fails_when_a_generated_row_goes_missing(two_cpus, monkeypatch):
+    streamed = verify.stream
+
+    def losing_a_row(readers):
+        streamed(readers)
+        for r in readers:
+            r.kept.pop((7, 5), None)
+
+    monkeypatch.setattr(verify, "stream", losing_a_row)
+    monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", 10**4)  # small rows suffice
+    (result,) = verify.run(["three-way"])
+    assert (result.passed, result.detail) == (False, "generated row missing at q=7 n=5")
+
+
+def test_a_reader_raising_in_the_worker_fails_only_three_way(two_cpus, monkeypatch):
+    q7_row5 = len(triangle.nth_row(7, 5))  # no other q's row 5 has this length
+    original = triangle.row_sums
+
+    def raising(row):
+        if (row.n, len(row)) == (5, q7_row5):
+            raise ArithmeticError("row sums overflow at q=7 row 5")
+        return original(row)
+
+    monkeypatch.setattr(verify, "row_sums", raising)
+    monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", 10**4)
+    forked = verify.run(ROW_SUITES)
+    assert [r.name for r in forked if not r.passed] == ["three-way"]
+    assert forked[0].detail == "ArithmeticError: row sums overflow at q=7 row 5"
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert verify.run(ROW_SUITES) == forked
+
+
+def test_a_worker_that_dies_never_yields_a_pass(two_cpus, monkeypatch):
+    caller, original = os.getpid(), triangle.next_row
+
+    def dying(row, q):
+        if os.getpid() != caller and (q, row.n) == (7, 4):
+            os._exit(3)
+        return original(row, q)
+
+    monkeypatch.setattr(triangle, "next_row", dying)
+    monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", 10**4)
+    with pytest.raises(ChildProcessError, match="exited with code 3"):
+        verify.run(["three-way"])
+    with pytest.raises(ChildProcessError, match="exited with code 3"):
+        main(["verify"])
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_caller_stops_the_worker(two_cpus, monkeypatch):
+    original = triangle.next_row
+
+    def failing(row, q):
+        if (q, row.n) == (5, 3):
+            raise MemoryError
+        return original(row, q)
+
+    monkeypatch.setattr(triangle, "next_row", failing)
+    with pytest.raises(MemoryError):
+        verify.run(["three-way"])
+    assert multiprocessing.active_children() == []
+
+
+def test_every_failure_a_reader_keeps_survives_the_pipe_from_the_worker():
+    examples = [
+        locator.LocationFailure(2, 3, 4),
+        NotIntegralError("5/2 is not an integer"),
+        NotRationalError("1 + sqrt(5) is not rational"),
+        ArithmeticError("row sums overflow"),
+        triangle.BudgetExceeded(5, 10),
+        triangle.BudgetExceeded(5),
+        verify.SuiteFailure("generated sums mismatch at q=5 n=7"),
+    ]
+    assert set(verify.CHECK_FAILURES) <= {type(exc) for exc in examples}
+    for exc in examples:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert (str(back), back.args, vars(back)) == (str(exc), exc.args, vars(exc))
 
 
 def test_a_stream_goes_only_as_far_as_its_readers_read(built_rows):
