@@ -8,8 +8,12 @@ is exact integer or rational arithmetic.
 The suites that read generated rows (the keys of ROW_READERS) each take
 a row reader that keeps small per-row results, never rows.  A suite runs
 through `run([name])`, which streams only that suite's rows; `run` builds
-every row the named suites read once, one q in the calling process while
-a forked worker builds the others, and hands it to each reader that reads it.
+every row the named suites read once and hands it to each reader that
+reads it.  The calling process and one forked worker each take the next
+q from a shared counter; while the worker finishes, the caller runs the
+suites that read no rows or only rows it built, so only the suites that
+read the worker's rows run after the merge.  The suites that read closed
+forms share one table per run, so each closed form is evaluated once.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, zip_longest
-from typing import Callable, Iterable
+from functools import cache
+from itertools import chain, islice, zip_longest
+from typing import Callable, Iterable, Iterator
 
 from . import linrec, locator, pattern, sequences
 from .quadfield import NotIntegralError, NotRationalError
@@ -79,23 +84,24 @@ class RowReader:
 
     stream() calls feed(q, row) once for each row 0..last[q] of each q,
     in order; feed keeps keep(row) in kept[q, n].  The first check
-    failure keep raises is kept in error, for run to fail the suite with,
-    and nothing more is kept.
+    failure keep raises is kept in error, and its q in error_q, for run
+    to fail the suite with, and nothing more is kept.
     """
 
     def __init__(self, last: dict[int, int], keep: Callable[[Row], object]) -> None:
         self.last, self.keep, self.kept = last, keep, {}
         self.error: Exception | None = None
+        self.error_q: int | None = None
 
     def feed(self, q: int, row: Row) -> None:
         if self.error is None:
             try:
                 self.kept[q, row.n] = self.keep(row)
             except CHECK_FAILURES as exc:
-                self.error = exc
+                self.error, self.error_q = exc, q
 
 
-def _stream(readers: list[RowReader], qs: list[int]) -> None:
+def _stream(readers: list[RowReader], qs: Iterable[int]) -> None:
     for q in qs:
         for row in generate_rows(q, max(r.last.get(q, -1) for r in readers)):
             for r in readers:
@@ -103,18 +109,42 @@ def _stream(readers: list[RowReader], qs: list[int]) -> None:
                     r.feed(q, row)
 
 
-def _stream_and_send(readers: list[RowReader], qs: list[int], send) -> None:
-    _stream(readers, qs)
-    send.send([(r.kept, r.error) for r in readers])
+def _pull(qs: list[int], counter, peer_alive: Callable[[], bool]) -> Iterator[int]:
+    """The q's this process takes from the shared counter, until none is left.
+
+    counter holds the index of the next q to take.  A peer that dies
+    holding the counter's lock ends the pulling instead of hanging it.
+    """
+    lock = counter.get_lock()
+    while True:
+        while not lock.acquire(timeout=0.1):
+            if not peer_alive():
+                return
+        i = counter.get_obj().value
+        counter.get_obj().value = i + 1
+        lock.release()
+        if i >= len(qs):
+            return
+        yield qs[i]
 
 
-def stream(readers: list[RowReader]) -> None:
+def _stream_and_send(readers: list[RowReader], qs: list[int], counter, send) -> None:
+    caller = os.getppid()
+    _stream(readers, _pull(qs, counter, lambda: os.getppid() == caller))
+    send.send([(r.kept, r.error, r.error_q) for r in readers])
+
+
+def stream(readers: list[RowReader], while_waiting: Callable[[set[int]], None]) -> None:
     """Build each row once and hand it to every reader that keeps it.
 
-    The first q streams here while one forked worker streams the rest and
-    sends back what each reader kept of them; merged in q order, the readers
-    end as after one stream of every q.  With one q, one CPU or no fork,
-    every q streams here.
+    The caller takes the first q and forks one worker; from then on each
+    process takes the next q from one shared counter whenever it is free.
+    Once every q is taken, the caller passes the q's it streamed to
+    while_waiting (their readers are complete) and then merges in what
+    the worker's readers kept, in (q, n) order, and for each reader the
+    failure of the smallest q, which is the one a single stream of every
+    q in order would keep.  With one q, one CPU or no fork, every q
+    streams here and while_waiting is not called.
     """
     import multiprocessing  # here, so that importing the CLI does not load it
 
@@ -123,14 +153,18 @@ def stream(readers: list[RowReader]) -> None:
             or "fork" not in multiprocessing.get_all_start_methods()):
         return _stream(readers, qs)
     ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("i", 1)  # qs[0] is the caller's
     receive, send = ctx.Pipe(duplex=False)
     # forked: the readers and their keep functions are inherited, never pickled
-    worker = ctx.Process(target=_stream_and_send, args=(readers, qs[1:], send))
+    worker = ctx.Process(target=_stream_and_send, args=(readers, qs, counter, send))
     worker.start()
     send.close()
-    sent = None
+    mine, sent = [], None
     try:
-        _stream(readers, qs[:1])
+        for q in chain(qs[:1], _pull(qs, counter, worker.is_alive)):
+            _stream(readers, [q])
+            mine.append(q)
+        while_waiting(set(mine))
         sent = receive.recv()
     except EOFError:  # the worker ended without sending
         pass
@@ -140,13 +174,15 @@ def stream(readers: list[RowReader]) -> None:
             worker.kill()
         worker.join()
     if sent is None:
+        took = [q for q in qs[: counter.get_obj().value] if q not in mine]
         raise ChildProcessError(
-            f"the row worker for q in {qs[1:]} exited with code {worker.exitcode}"
+            f"the row worker, which took {f'q in {took}' if took else 'no q'}, "
+            f"exited with code {worker.exitcode}"
         )
-    for r, (kept, error) in zip(readers, sent):
-        if r.error is None:  # else the first q's error stands, as in one stream
-            r.kept.update(kept)
-            r.error = error
+    for r, (kept, error, error_q) in zip(readers, sent):
+        r.kept = dict(sorted({**r.kept, **kept}.items()))
+        if error is not None and (r.error is None or error_q < r.error_q):
+            r.error, r.error_q = error, error_q
 
 
 def euclidean_oracle() -> str:
@@ -170,19 +206,31 @@ def _count_and_sum_rows() -> RowReader:
     return RowReader(last, lambda row: row.n and (row_counts(row), row_sums(row)))
 
 
-def three_way_agreement(seen: RowReader) -> str:
+class ClosedForms:
+    """One run's closed-form counts and sums, each (q, n) evaluated once.
+
+    A form that raises keeps nothing, so each suite that asks for it
+    meets the exception.
+    """
+
+    def __init__(self) -> None:
+        self.counts = cache(sequences.counts_closed)
+        self.sums = cache(sequences.sums_closed)
+
+
+def three_way_agreement(seen: RowReader, closed: ClosedForms) -> str:
     """Coupled, ternary and closed-form counts/sums agree, and match rows."""
     for q in AGREEMENT_QS:
         for n in range(1, AGREEMENT_N_MAX + 1):
             c = sequences.counts_coupled(q, n)
             if sequences.counts_ternary(q, n) != c:
                 raise SuiteFailure(f"count ternary/coupled mismatch at q={q} n={n}")
-            if sequences.counts_closed(q, n) != c:
+            if closed.counts(q, n) != c:
                 raise SuiteFailure(f"count closed/coupled mismatch at q={q} n={n}")
             s = sequences.sums_coupled(q, n)
             if sequences.sums_ternary(q, n) != s:
                 raise SuiteFailure(f"sum ternary/coupled mismatch at q={q} n={n}")
-            if sequences.sums_closed(q, n) != s:
+            if closed.sums(q, n) != s:
                 raise SuiteFailure(f"sum closed/coupled mismatch at q={q} n={n}")
     for q, last in seen.last.items():
         for n in range(1, last + 1):
@@ -396,13 +444,13 @@ def elimination() -> str:
     return "named systems q=4..12, influence system, 100 random round trips"
 
 
-def exactness() -> str:
+def exactness(closed: ClosedForms) -> str:
     """Every closed-form evaluation lands exactly on an integer."""
     for q in AGREEMENT_QS:
         for n in range(1, AGREEMENT_N_MAX + 1):
             try:
-                sequences.counts_closed(q, n)
-                sequences.sums_closed(q, n)
+                closed.counts(q, n)
+                closed.sums(q, n)
             except (NotRationalError, NotIntegralError) as exc:
                 raise SuiteFailure(f"closed form q={q} n={n}: {exc}") from exc
     return f"all closed forms integral for q in {AGREEMENT_QS}, n=1..{AGREEMENT_N_MAX}"
@@ -432,11 +480,18 @@ ROW_READERS: dict[str, Callable[[], RowReader]] = {
 }
 
 
+# the suites that read closed forms, through the run's one ClosedForms
+CLOSED_FORM_READERS = ("three-way", "exactness")
+
+
 def run(names: Iterable[str] | None = None) -> list[CheckResult]:
     """Run the named suites (all by default), streaming their rows once.
 
     A suite that raises fails with the exception's message as its detail
     (named by type unless it is a SuiteFailure); the rest still run.
+    While a forked worker streams rows, the caller runs every suite that
+    reads no rows or only rows the caller streamed; the rest run after
+    the merge.  The results come in the order named.
     """
     picked = list(SUITES) if names is None else list(names)
     for suite_name in picked:
@@ -445,17 +500,27 @@ def run(names: Iterable[str] | None = None) -> list[CheckResult]:
                 f"unknown suite {suite_name!r}; choose from {', '.join(SUITES)}"
             )
     fed = {name: ROW_READERS[name]() for name in picked if name in ROW_READERS}
-    stream(list(fed.values()))
-    results = []
-    for name in picked:
-        seen = [fed[name]] if name in fed else []
+    closed = ClosedForms()
+    done: dict[int, CheckResult] = {}
+
+    def result(name: str) -> CheckResult:
+        args = [fed[name]] if name in fed else []
+        if name in CLOSED_FORM_READERS:
+            args.append(closed)
         try:
-            if seen and seen[0].error is not None:
-                raise seen[0].error
-            passed, detail = True, SUITES[name](*seen)
+            if name in fed and fed[name].error is not None:
+                raise fed[name].error
+            passed, detail = True, SUITES[name](*args)
         except SuiteFailure as exc:
             passed, detail = False, str(exc)
         except CHECK_FAILURES as exc:
             passed, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, passed, detail))
-    return results
+        return CheckResult(name, passed, detail)
+
+    def run_streamed(streamed: set[int]) -> None:
+        for i, name in enumerate(picked):
+            if i not in done and (name not in fed or fed[name].last.keys() <= streamed):
+                done[i] = result(name)
+
+    stream(list(fed.values()), run_streamed)
+    return [done[i] if i in done else result(name) for i, name in enumerate(picked)]

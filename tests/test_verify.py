@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 
@@ -29,10 +30,14 @@ def test_row_suites_build_each_row_once(two_cpus, built_rows, locator_rows, expe
     tops = {q: triangle.largest_row_within(q, triangle.DEFAULT_CELL_BUDGET)
             for q in verify.AGREEMENT_QS}
     assert sorted(built_rows) == [(q, n) for q in tops for n in range(1, tops[q] + 1)]
-    # q = 5 in the caller, q = 6, 7 and 10 in one other process
-    assert {pid for pid, q, _ in built_rows.log() if q == 5} == {os.getpid()}
-    worker = {pid for pid, q, _ in built_rows.log() if q != 5}
-    assert len(worker) == 1 and os.getpid() not in worker
+    pids: dict[int, set[int]] = {}
+    for pid, q, _ in built_rows.log():
+        pids.setdefault(q, set()).add(pid)
+    # q = 5 in the caller; each other q in the caller or in one other process,
+    # which streamed at least one of them
+    assert pids[5] == {os.getpid()}
+    assert all(len(streamed_by) == 1 for streamed_by in pids.values())
+    assert len(set().union(*pids.values()) - {os.getpid()}) == 1
     assert locator_rows == [triangle.initial_row()]  # the locator's kept rows are untouched
 
 
@@ -48,8 +53,8 @@ def test_one_cpu_streams_every_q_in_the_caller(monkeypatch, built_rows, expected
 def test_three_way_fails_when_a_generated_row_goes_missing(two_cpus, monkeypatch):
     streamed = verify.stream
 
-    def losing_a_row(readers):
-        streamed(readers)
+    def losing_a_row(readers, while_waiting):
+        streamed(readers, lambda qs: None)  # so three-way runs only after the loss
         for r in readers:
             r.kept.pop((7, 5), None)
 
@@ -78,20 +83,111 @@ def test_a_reader_raising_in_the_worker_fails_only_three_way(two_cpus, monkeypat
 
 
 def test_a_worker_that_dies_never_yields_a_pass(two_cpus, monkeypatch):
-    caller, original = os.getpid(), triangle.next_row
-
-    def dying(row, q):
-        if os.getpid() != caller and (q, row.n) == (7, 4):
-            os._exit(3)
-        return original(row, q)
-
-    monkeypatch.setattr(triangle, "next_row", dying)
+    # only the worker sends, once, whichever q's it took: it dies before sending
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send",
+                        lambda self, obj: os._exit(3))
     monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", 10**4)
-    with pytest.raises(ChildProcessError, match="exited with code 3"):
+    took = r"which took (no q|q in \[\d+(, \d+)*\])"
+    with pytest.raises(ChildProcessError, match=f"^the row worker, {took}, exited with code 3$"):
         verify.run(["three-way"])
     with pytest.raises(ChildProcessError, match="exited with code 3"):
         main(["verify"])
     assert multiprocessing.active_children() == []
+
+
+def test_failures_in_both_processes_give_the_serial_result(two_cpus, monkeypatch):
+    # no other q's row 5 has q = 7's length, and row 3 of q has q cells
+    lengths = {(5, len(triangle.nth_row(7, 5))): 7, (3, 10): 10}
+    original = triangle.row_sums
+
+    def raising(row):
+        if (row.n, len(row)) in lengths:
+            raise ArithmeticError(f"row sums overflow at q={lengths[row.n, len(row)]}")
+        return original(row)
+
+    monkeypatch.setattr(verify, "row_sums", raising)
+    monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", 10**4)
+    forked = verify.run(ROW_SUITES)
+    assert forked[0].detail == "ArithmeticError: row sums overflow at q=7"
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert verify.run(ROW_SUITES) == forked
+
+
+def test_processes_pulling_from_one_counter_take_each_q_once():
+    ctx = multiprocessing.get_context("fork")
+    qs, counter, taken = list(range(20000)), ctx.Value("i", 0), ctx.SimpleQueue()
+    # more pullers than cores, started together, so that updates to the counter interleave
+    start = ctx.Barrier(4)
+
+    def pull():
+        start.wait()
+        taken.put(list(verify._pull(qs, counter, lambda: True)))
+
+    pullers = [ctx.Process(target=pull) for _ in range(4)]
+    for p in pullers:
+        p.start()
+    pulled = [taken.get() for _ in pullers]
+    for p in pullers:
+        p.join(timeout=30)
+        assert p.exitcode == 0
+    assert sorted(q for part in pulled for q in part) == qs
+    assert all(part == sorted(part) for part in pulled)
+
+
+def test_a_peer_that_dies_holding_the_counter_ends_the_pull():
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("i", 0)
+
+    def die_holding_the_lock():
+        counter.get_lock().acquire()
+        os._exit(0)
+
+    holder = ctx.Process(target=die_holding_the_lock)
+    holder.start()
+    holder.join(timeout=30)
+    assert holder.exitcode == 0
+    assert list(verify._pull([5, 6, 7], counter, holder.is_alive)) == []
+
+
+def test_a_row_free_suite_that_fails_hard_during_the_wait_stops_the_worker(
+    two_cpus, monkeypatch
+):
+    def out_of_memory():
+        raise MemoryError
+
+    monkeypatch.setitem(verify.SUITES, "elimination", out_of_memory)
+    monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", 10**4)
+    with pytest.raises(MemoryError):
+        verify.run(["three-way", "elimination"])
+    assert multiprocessing.active_children() == []
+
+
+def test_results_come_in_the_order_named(two_cpus, expected_details):
+    names = ["exactness", "three-way", "elimination", "exactness"]
+    assert [(r.name, r.passed, r.detail) for r in verify.run(names)] == [
+        (name, True, expected_details[name]) for name in names
+    ]
+
+
+def test_each_closed_form_is_evaluated_once_per_run(monkeypatch):
+    monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", 10**4)  # small rows suffice
+    calls = []
+    for name in ("counts_closed", "sums_closed"):
+        original = getattr(sequences, name)
+        monkeypatch.setattr(sequences, name, lambda q, n, f=original: calls.append(1) or f(q, n))
+    for _ in range(2):  # nothing is kept from one run to the next
+        calls.clear()
+        assert all(r.passed for r in verify.run(["three-way", "exactness", "three-way"]))
+        assert len(calls) == 2 * len(verify.AGREEMENT_QS) * verify.AGREEMENT_N_MAX
+
+
+def test_verify_prints_alike_on_one_cpu_and_two(monkeypatch, capsys):
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(["verify"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_a_failing_caller_stops_the_worker(two_cpus, monkeypatch):
