@@ -15,6 +15,11 @@ paths from the base.  Rows grow left to right by one uniform rule:
 For q = 4 no kind-B cells ever appear and the construction reproduces
 Pascal's triangle exactly.
 
+Rows are palindromes, by induction: a child reads 1, C0 M01, C1 M12, ...,
+M(m-2,m-1), 1, each copy block Ci of identical cells, so reversing a
+palindrome's child gives the same child.  next_row builds the left half
+and mirrors it.
+
 Rows are immutable once produced; generation is strictly streaming
 (row n+1 is built from row n only), and row sizes grow geometrically,
 so a cell budget guards every generating entry point.
@@ -91,7 +96,7 @@ def initial_row() -> Row:
 
 
 class _Sized:
-    """An iterator with a known length, so list() allocates it once, exactly."""
+    """An iterator with a stated length, so list() and extend() allocate for it once."""
 
     def __init__(self, it: Iterator, n: int) -> None:
         self.it, self.n = it, n
@@ -103,24 +108,39 @@ class _Sized:
         return self.n
 
 
-def next_row(row: Row, q: int) -> Row:
-    _check_q(q)
-    # one slot word: the new wingers at the ends and, for each parent but the
-    # right winger, q-3 copy slots then its merge with the next; a parent
-    # with fewer kind-B copies leaves its first slots empty
-    fill = {WINGER: 0, TYPE_A: q - 4, TYPE_B: q - 3}
-    word = f"{WINGER}{row.kinds[:-1].lower()}{WINGER}".encode()
-    for kind, k in fill.items():
+def _fill(q: int) -> dict[str, int]:
+    return {WINGER: 0, TYPE_A: q - 4, TYPE_B: q - 3}  # copies a parent drops
+
+
+def _slot_word(kinds: str, q: int) -> bytes:
+    """The slots under a row: the new wingers at the ends and, for each parent
+    but the right winger, q-3 copy slots then its merge with the next, each
+    holding its child's kind, or 0 where a parent drops fewer copies."""
+    word = f"{WINGER}{kinds[:-1].lower()}{WINGER}".encode()
+    for kind, k in _fill(q).items():
         pattern = b"\0" * (q - 3 - k) + (TYPE_B * k + TYPE_A).encode()
         word = word.replace(kind.lower().encode(), pattern)
-    # kinds first and no slice of row.values: kinds built after the values,
-    # or a copy of the values, raise the peak over the locator's kept rows
+    return word
+
+
+def next_row(row: Row, q: int) -> Row:
+    """The child of row, a palindrome as row is: its left half, then mirrored.
+
+    row must come from initial_row, next_row or generate_rows; a hand-made
+    row that is not a palindrome is not supported.
+    """
+    _check_q(q)
+    # kinds first and no slice of row.values: both keep the locator's peak low
+    word = _slot_word(row.kinds, q)
     kinds = word.replace(b"\0", b"").decode()
-    vals = row.values
-    copies = [iter(vals) for _ in range(q - 3)]
-    merges = map(add, vals, islice(vals, 1, None))
+    size = len(kinds)
+    copies = [iter(row.values) for _ in range(q - 3)]
+    merges = map(add, row.values, islice(row.values, 1, None))
     slots = chain((1,), chain.from_iterable(zip(*copies, merges)), (1,))
-    return Row(row.n + 1, list(_Sized(compress(slots, word), len(kinds))), kinds)
+    # both steps claim their lengths, so the list is allocated once, at size
+    values = list(_Sized(islice(compress(slots, word), (size + 1) // 2), size))
+    values.extend(_Sized(islice(reversed(values), size % 2, None), size // 2))
+    return Row(row.n + 1, values, kinds)
 
 
 def _coupled_counts(q: int) -> Iterator[tuple[int, int]]:
@@ -210,14 +230,13 @@ def child_edges(kinds: str, q: int) -> Iterator[tuple[int, int]]:
     """
     _check_q(q)
     m = len(kinds)
-    fill = {WINGER: 0, TYPE_A: q - 4, TYPE_B: q - 3}
+    fill = _fill(q)
     yield 0, 0
     c = 1
     for i in range(m - 1):
-        if i > 0:
-            for _ in range(fill[kinds[i]]):
-                yield i, c
-                c += 1
+        for _ in range(fill[kinds[i]]):  # 0 for the left winger
+            yield i, c
+            c += 1
         yield i, c
         yield i + 1, c
         c += 1

@@ -230,6 +230,26 @@ def test_next_row_matches_the_cell_by_cell_builder(q):
 
 @settings(deadline=None)
 @given(q=st.integers(4, 30), budget=st.integers(1, 2000), depth=st.integers(0, 40))
+def test_rows_built_cell_by_cell_are_palindromes(q, budget, depth):
+    # next_row mirrors its left half, so its rows are palindromes by
+    # construction; the unmirrored builder is where the premise can fail
+    row = initial_row()
+    for _ in range(min(depth, largest_row_within(q, budget))):
+        row = reference_next_row(row, q)
+        assert_palindromic(row)
+
+
+def test_mirrored_cells_share_their_values():
+    # a builder that computed the right half again would hold two ints per
+    # value and lose the peak-memory gain on the locator's kept rows
+    values = nth_row(5, 14).values
+    assert len(values) % 2 == 1
+    assert all(values[k] is values[-1 - k] for k in range(len(values) // 2))
+    assert max(values) > 256  # beyond the ints the interpreter caches
+
+
+@settings(deadline=None)
+@given(q=st.integers(4, 30), budget=st.integers(1, 2000), depth=st.integers(0, 40))
 def test_rows_of_any_q_are_palindromes_built_from_their_parents(q, budget, depth):
     rows = list(generate_rows(q, min(depth, largest_row_within(q, budget)), budget))
     for row in rows:
@@ -249,6 +269,19 @@ def test_next_row_leaves_its_parent_unchanged(q):
     assert parent.kinds is kinds
 
 
+def test_next_row_never_copies_its_parent_values_into_an_even_child():
+    # row 13 mirrors its 46370 cells with no middle one, unlike row 14
+    parent = nth_row(5, 12)
+    tracemalloc.start()
+    try:
+        child = next_row(parent, 5)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(child) % 2 == 0
+    assert (peak - held) / len(parent) <= 4
+
+
 def test_next_row_never_copies_its_parent_values():
     # the locator keeps q = 5 rows 0..18, so a copy of a parent's values
     # (8 bytes a cell) would show in every later peak
@@ -263,7 +296,13 @@ def test_next_row_never_copies_its_parent_values():
     assert (peak - held) / len(parent) <= 4
 
 
-@pytest.mark.parametrize("q, n", [(4, 200), (5, 6), (5, 12), (6, 8), (7, 5), (10, 4)])
+# the first six children have 1 cell mod 4; the rest cover 0, 2 and 3, small
+# and large, since the mirror's fit depends on the parity and the rounding
+@pytest.mark.parametrize(
+    "q, n",
+    [(4, 200), (5, 6), (5, 12), (6, 8), (7, 5), (10, 4),
+     (4, 7), (4, 199), (5, 4), (5, 13), (5, 5), (6, 10), (7, 8)],
+)
 def test_next_row_allocates_its_values_once_at_their_length(q, n):
     # list() of an iterable with a length allocates it exactly (CPython may
     # round up to an even slot count), as a copy of the list does; grown
