@@ -9,9 +9,9 @@ The suites that read generated rows (the keys of ROW_READERS) each take
 a row reader that keeps small per-row results, never rows.  A suite runs
 through `run([name])`, which streams only that suite's rows; `run` builds
 every row the named suites read once and hands it to each reader that
-reads it.  The calling process and one forked worker each take the next
-q from a shared counter; while the worker finishes, the caller runs the
-suites that read no rows or only rows it built, so only the suites that
+reads it.  The calling process streams q = 5 while one forked worker
+streams the larger q's; while the worker finishes, the caller runs the
+suites that read no rows or only q = 5 rows, so only the suites that
 read the worker's rows run after the merge.  The suites that read closed
 forms share one table per run, so each closed form is evaluated once.
 """
@@ -24,8 +24,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, islice, zip_longest
-from typing import Callable, Iterable, Iterator
+from itertools import islice, zip_longest
+from typing import Callable, Iterable
 
 from . import linrec, locator, pattern, sequences
 from .quadfield import NotIntegralError, NotRationalError
@@ -84,24 +84,23 @@ class RowReader:
 
     stream() calls feed(q, row) once for each row 0..last[q] of each q,
     in order; feed keeps keep(row) in kept[q, n].  The first check
-    failure keep raises is kept in error, and its q in error_q, for run
-    to fail the suite with, and nothing more is kept.
+    failure keep raises is kept in error, for run to fail the suite
+    with, and nothing more is kept.
     """
 
     def __init__(self, last: dict[int, int], keep: Callable[[Row], object]) -> None:
         self.last, self.keep, self.kept = last, keep, {}
         self.error: Exception | None = None
-        self.error_q: int | None = None
 
     def feed(self, q: int, row: Row) -> None:
         if self.error is None:
             try:
                 self.kept[q, row.n] = self.keep(row)
             except CHECK_FAILURES as exc:
-                self.error, self.error_q = exc, q
+                self.error = exc
 
 
-def _stream(readers: list[RowReader], qs: Iterable[int]) -> None:
+def _stream(readers: list[RowReader], qs: list[int]) -> None:
     for q in qs:
         for row in generate_rows(q, max(r.last.get(q, -1) for r in readers)):
             for r in readers:
@@ -109,41 +108,19 @@ def _stream(readers: list[RowReader], qs: Iterable[int]) -> None:
                     r.feed(q, row)
 
 
-def _pull(qs: list[int], counter, peer_alive: Callable[[], bool]) -> Iterator[int]:
-    """The q's this process takes from the shared counter, until none is left.
-
-    counter holds the index of the next q to take.  A peer that dies
-    holding the counter's lock ends the pulling instead of hanging it.
-    """
-    lock = counter.get_lock()
-    while True:
-        while not lock.acquire(timeout=0.1):
-            if not peer_alive():
-                return
-        i = counter.get_obj().value
-        counter.get_obj().value = i + 1
-        lock.release()
-        if i >= len(qs):
-            return
-        yield qs[i]
-
-
-def _stream_and_send(readers: list[RowReader], qs: list[int], counter, send) -> None:
-    caller = os.getppid()
-    _stream(readers, _pull(qs, counter, lambda: os.getppid() == caller))
-    send.send([(r.kept, r.error, r.error_q) for r in readers])
+def _stream_and_send(readers: list[RowReader], qs: list[int], send) -> None:
+    _stream(readers, qs)
+    send.send([(r.kept, r.error) for r in readers])
 
 
 def stream(readers: list[RowReader], while_waiting: Callable[[set[int]], None]) -> None:
     """Build each row once and hand it to every reader that keeps it.
 
-    The caller takes the first q and forks one worker; from then on each
-    process takes the next q from one shared counter whenever it is free.
-    Once every q is taken, the caller passes the q's it streamed to
-    while_waiting (their readers are complete) and then merges in what
-    the worker's readers kept, in (q, n) order, and for each reader the
-    failure of the smallest q, which is the one a single stream of every
-    q in order would keep.  With one q, one CPU or no fork, every q
+    The first q streams here while one forked worker streams the rest.
+    The caller then passes the first q to while_waiting (its readers are
+    complete) and merges in what the worker's readers kept.  Every
+    worker q is larger than the first, so the readers end as after one
+    stream of every q in order.  With one q, one CPU or no fork, every q
     streams here and while_waiting is not called.
     """
     import multiprocessing  # here, so that importing the CLI does not load it
@@ -153,18 +130,15 @@ def stream(readers: list[RowReader], while_waiting: Callable[[set[int]], None]) 
             or "fork" not in multiprocessing.get_all_start_methods()):
         return _stream(readers, qs)
     ctx = multiprocessing.get_context("fork")
-    counter = ctx.Value("i", 1)  # qs[0] is the caller's
     receive, send = ctx.Pipe(duplex=False)
     # forked: the readers and their keep functions are inherited, never pickled
-    worker = ctx.Process(target=_stream_and_send, args=(readers, qs, counter, send))
+    worker = ctx.Process(target=_stream_and_send, args=(readers, qs[1:], send))
     worker.start()
     send.close()
-    mine, sent = [], None
+    sent = None
     try:
-        for q in chain(qs[:1], _pull(qs, counter, worker.is_alive)):
-            _stream(readers, [q])
-            mine.append(q)
-        while_waiting(set(mine))
+        _stream(readers, qs[:1])
+        while_waiting(set(qs[:1]))
         sent = receive.recv()
     except EOFError:  # the worker ended without sending
         pass
@@ -174,15 +148,13 @@ def stream(readers: list[RowReader], while_waiting: Callable[[set[int]], None]) 
             worker.kill()
         worker.join()
     if sent is None:
-        took = [q for q in qs[: counter.get_obj().value] if q not in mine]
         raise ChildProcessError(
-            f"the row worker, which took {f'q in {took}' if took else 'no q'}, "
-            f"exited with code {worker.exitcode}"
+            f"the row worker, which took q in {qs[1:]}, exited with code {worker.exitcode}"
         )
-    for r, (kept, error, error_q) in zip(readers, sent):
-        r.kept = dict(sorted({**r.kept, **kept}.items()))
-        if error is not None and (r.error is None or error_q < r.error_q):
-            r.error, r.error_q = error, error_q
+    for r, (kept, error) in zip(readers, sent):
+        if r.error is None:  # else the first q's failure stands, as in one stream
+            r.kept.update(kept)
+            r.error = error
 
 
 def euclidean_oracle() -> str:

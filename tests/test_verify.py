@@ -30,14 +30,12 @@ def test_row_suites_build_each_row_once(two_cpus, built_rows, locator_rows, expe
     tops = {q: triangle.largest_row_within(q, triangle.DEFAULT_CELL_BUDGET)
             for q in verify.AGREEMENT_QS}
     assert sorted(built_rows) == [(q, n) for q in tops for n in range(1, tops[q] + 1)]
-    pids: dict[int, set[int]] = {}
+    qs_by_pid: dict[int, set[int]] = {}
     for pid, q, _ in built_rows.log():
-        pids.setdefault(q, set()).add(pid)
-    # q = 5 in the caller; each other q in the caller or in one other process,
-    # which streamed at least one of them
-    assert pids[5] == {os.getpid()}
-    assert all(len(streamed_by) == 1 for streamed_by in pids.values())
-    assert len(set().union(*pids.values()) - {os.getpid()}) == 1
+        qs_by_pid.setdefault(pid, set()).add(q)
+    # q = 5 in the caller, every other q in one forked worker
+    assert qs_by_pid.pop(os.getpid()) == {5}
+    assert list(qs_by_pid.values()) == [{6, 7, 10}]
     assert locator_rows == [triangle.initial_row()]  # the locator's kept rows are untouched
 
 
@@ -109,44 +107,14 @@ def test_failures_in_both_processes_give_the_serial_result(two_cpus, monkeypatch
     monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", 10**4)
     forked = verify.run(ROW_SUITES)
     assert forked[0].detail == "ArithmeticError: row sums overflow at q=7"
+    # a failure in the caller's q = 5 stream as well: it stands over the worker's
+    lengths[3, 5] = 5
+    forked_too = verify.run(ROW_SUITES)
+    assert forked_too[0].detail == "ArithmeticError: row sums overflow at q=5"
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert verify.run(ROW_SUITES) == forked_too
+    del lengths[3, 5]
     assert verify.run(ROW_SUITES) == forked
-
-
-def test_processes_pulling_from_one_counter_take_each_q_once():
-    ctx = multiprocessing.get_context("fork")
-    qs, counter, taken = list(range(20000)), ctx.Value("i", 0), ctx.SimpleQueue()
-    # more pullers than cores, started together, so that updates to the counter interleave
-    start = ctx.Barrier(4)
-
-    def pull():
-        start.wait()
-        taken.put(list(verify._pull(qs, counter, lambda: True)))
-
-    pullers = [ctx.Process(target=pull) for _ in range(4)]
-    for p in pullers:
-        p.start()
-    pulled = [taken.get() for _ in pullers]
-    for p in pullers:
-        p.join(timeout=30)
-        assert p.exitcode == 0
-    assert sorted(q for part in pulled for q in part) == qs
-    assert all(part == sorted(part) for part in pulled)
-
-
-def test_a_peer_that_dies_holding_the_counter_ends_the_pull():
-    ctx = multiprocessing.get_context("fork")
-    counter = ctx.Value("i", 0)
-
-    def die_holding_the_lock():
-        counter.get_lock().acquire()
-        os._exit(0)
-
-    holder = ctx.Process(target=die_holding_the_lock)
-    holder.start()
-    holder.join(timeout=30)
-    assert holder.exitcode == 0
-    assert list(verify._pull([5, 6, 7], counter, holder.is_alive)) == []
 
 
 def test_a_row_free_suite_that_fails_hard_during_the_wait_stops_the_worker(
