@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -91,10 +92,23 @@ def test_rows_0_and_1_match_reference_encoders(writer, reference):
         assert written(writer, rows) == reference(rows)
 
 
+def small_budget_rows(q):
+    """Every row of q within 500 cells; for q = 4, rows 0..499, values up to 149 digits."""
+    return list(generate_rows(q, largest_row_within(q, 500), 500))
+
+
+def test_the_sweep_covers_rows_of_1_and_2_cells_and_every_length_mod_4():
+    # the writers mirror a left half of (L + 1) // 2 cells, so L's parity matters,
+    # and L mod 4 decides the parity of the half as well
+    lengths = {len(row) for q in range(5, 31) for row in small_budget_rows(q)}
+    assert {1, 2} <= lengths
+    assert {length % 4 for length in lengths} == {0, 1, 2, 3}
+
+
 @WRITERS
-@pytest.mark.parametrize("q", range(4, 13))
+@pytest.mark.parametrize("q", range(4, 31))
 def test_every_row_in_a_small_budget_matches_reference_encoders(writer, reference, q):
-    rows = list(generate_rows(q, largest_row_within(q, 500), 500))
+    rows = small_budget_rows(q)
     assert written(writer, rows) == reference(rows)
 
 
@@ -106,3 +120,22 @@ def test_repeated_many_digit_values_match_reference_encoders(writer, reference, 
     assert len(set(row15.values)) == 734 and max(row15.values) == 987
     for rows in ([binomials], [row15], [binomials, row15]):
         assert written(writer, rows) == reference(rows)
+
+
+class Discard:
+    def write(self, text):
+        pass
+
+
+@pytest.mark.parametrize("writer", [write_csv, write_json])
+def test_writers_transient_peak_is_under_8_bytes_a_cell(writer):
+    # a list of every cell's decimal string alone takes 8 bytes a cell; the
+    # writers hold a list and a string of the left half only
+    row = nth_row(5, 14)  # 121,395 cells
+    tracemalloc.start()
+    try:
+        writer([row], Discard())
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - held) / len(row) < 8
