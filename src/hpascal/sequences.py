@@ -24,7 +24,7 @@ from itertools import compress, islice
 from typing import Iterator, NamedTuple
 
 from .quadfield import QuadElem
-from .triangle import Row, TYPE_A, TYPE_B, _coupled_counts, kind_mask
+from .triangle import Row, TYPE_A, _coupled_counts, _half_a_mask
 
 
 class DegenerateDiscriminant(ValueError):
@@ -175,19 +175,25 @@ def alt_sum(n: int) -> int:
 
 
 def alt_triple_from_row(row: Row) -> AltTriple:
-    """Signed A-part / B-part / total sums of a generated q = 5 row.
+    """Signed A-part / B-part / total sums of a q = 5 row from next_row or generate_rows.
 
-    The sign of cell i is (-1)**i.  Wingers contribute to the total only;
-    in an odd-length row the two winger terms add +2, in an even-length
-    row they cancel.
+    The sign of cell i is (-1)**i.  Rows are palindromes, so cells k and L-1-k
+    share value and kind: their signs cancel in an even-length row, whose parts
+    are 0 with no value read, and agree in an odd one, so each part is twice
+    its signed left half plus the signed middle cell.  Wingers add to the total
+    only: +2, or +1 in row 0.
     """
-    even, odd = row.values[0::2], row.values[1::2]
-
-    def signed(kind: str) -> int:
-        mask = kind_mask(row, kind)
-        return sum(compress(even, mask[0::2])) - sum(compress(odd, mask[1::2]))
-
-    return AltTriple(signed(TYPE_A), signed(TYPE_B), sum(even) - sum(odd))
+    values, kinds = row.values, row.kinds
+    h, odd = divmod(len(values), 2)
+    if not odd:
+        return AltTriple(0, 0, 0)
+    mask = _half_a_mask(kinds, h)
+    mid = -values[h] if h % 2 else values[h]
+    total = 2 * (sum(islice(values, 0, h, 2)) - sum(islice(values, 1, h, 2))) + mid
+    a = 2 * (sum(compress(islice(values, 0, h, 2), mask[0::2]))
+             - sum(compress(islice(values, 1, h, 2), mask[1::2])))
+    a += mid if kinds[h] == TYPE_A else 0
+    return AltTriple(a, total - a - (2 if h else 1), total)
 
 
 def alt_step(a_part: int, b_part: int) -> tuple[int, int]:

@@ -39,11 +39,7 @@ TYPE_B = "B"
 
 DEFAULT_CELL_BUDGET = 10**7
 
-# per kind, a bytes.translate table sending that kind to 1 and the others to 0
-_KIND_TABLES = {
-    TYPE_A: bytes.maketrans(b"WAB", b"\0\1\0"),
-    TYPE_B: bytes.maketrans(b"WAB", b"\0\0\1"),
-}
+_A_TABLE = bytes.maketrans(b"WAB", b"\0\1\0")  # bytes.translate: A to 1, else 0
 
 
 class BudgetExceeded(Exception):
@@ -191,9 +187,9 @@ def nth_row(q: int, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> Row:
     return row
 
 
-def kind_mask(row: Row, kind: str) -> bytes:
-    """1 at each cell of the given kind, 0 elsewhere: a selector for compress."""
-    return row.kinds.encode("ascii").translate(_KIND_TABLES[kind])
+def _half_a_mask(kinds: str, h: int) -> bytes:
+    """1 at each kind-A cell of kinds[:h], 0 elsewhere: a selector for compress."""
+    return kinds[:h].encode("ascii").translate(_A_TABLE)
 
 
 def row_counts(row: Row) -> tuple[int, int, int]:
@@ -206,11 +202,15 @@ def row_counts(row: Row) -> tuple[int, int, int]:
 
 
 def row_sums(row: Row) -> tuple[int, int, int]:
-    """(sum over kind-A, sum over kind-B, total sum) of a row's values."""
+    """(sum over kind-A, sum over kind-B, total sum) of a row from next_row or
+    generate_rows: a palindrome, so each is twice its left half plus any middle cell."""
     if row.n < 1:
         raise ValueError("row 0 has no winger pair; sums start at row 1")
-    total = sum(row.values)
-    a = sum(compress(row.values, kind_mask(row, TYPE_A)))
+    h, odd = divmod(len(row.values), 2)
+    mid = row.values[h] if odd else 0
+    total = 2 * sum(islice(row.values, h)) + mid
+    a = 2 * sum(compress(row.values, _half_a_mask(row.kinds, h)))
+    a += mid if row.kinds[h] == TYPE_A else 0
     return a, total - a - 2, total
 
 

@@ -62,6 +62,25 @@ def test_three_way_fails_when_a_generated_row_goes_missing(two_cpus, monkeypatch
     assert (result.passed, result.detail) == (False, "generated row missing at q=7 n=5")
 
 
+def test_three_way_fails_when_a_worker_row_breaks_its_mirror(two_cpus, monkeypatch, built_rows):
+    # row_sums reads only the left half, so the length in row_counts must
+    # catch a right half that no longer mirrors the left
+    original = triangle.next_row
+
+    def one_cell_too_many(row, q):
+        child = original(row, q)
+        if (q, child.n) == (7, 5):
+            return triangle.Row(child.n, child.values + [1], child.kinds + triangle.WINGER)
+        return child
+
+    monkeypatch.setattr(triangle, "next_row", one_cell_too_many)
+    monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", 10**4)  # small rows suffice
+    (result,) = verify.run(["three-way"])
+    assert (result.passed, result.detail) == (False, "generated counts mismatch at q=7 n=5")
+    (builder,) = [pid for pid, q, n in built_rows.log() if (q, n) == (7, 5)]
+    assert builder != os.getpid()  # the broken row came from the worker
+
+
 def test_a_reader_raising_in_the_worker_fails_only_three_way(two_cpus, monkeypatch):
     q7_row5 = len(triangle.nth_row(7, 5))  # no other q's row 5 has this length
     original = triangle.row_sums
