@@ -108,8 +108,13 @@ def cmd_altsum(args, fp) -> int:
     else:
         value = sequences.alt_sum(args.n)
     if args.cross_check:
-        vals = nth_row(5, args.n, args.budget).values
-        direct = v * sum(islice(vals, 0, None, 2)) + w * sum(islice(vals, 1, None, 2))
+        row = nth_row(5, args.n, args.budget)
+        half, mid = row.half, len(row.half) - 1
+        if len(row) % 2:  # cells k and L-1-k share a parity; the middle one is not mirrored
+            evens, odds = sum(islice(half, 0, None, 2)), sum(islice(half, 1, None, 2))
+            direct = 2 * (v * evens + w * odds) - (w if mid % 2 else v) * half[mid]
+        else:  # their parities differ, so each mirrored pair weighs v + w
+            direct = (v + w) * sum(half)
         fp.write(f"formula: {value}\nrow: {direct}\n")
         return _verdict(fp, direct == value)
     if args.json:

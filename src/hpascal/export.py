@@ -3,27 +3,27 @@
 Values are always written as exact decimal strings; the JSON format
 never carries numbers that might get read back as floats.
 
-Rows are palindromes (see triangle), and so is a separator's join of one,
-so the CSV and JSON writers convert and join a row's left half only, then
-write it again mirrored: a row costs a list and a string of half its size.
+Rows are palindromes that store their left half (see triangle), and so is
+a separator's join of one, so the CSV and JSON writers convert and join a
+row's half, then write it again mirrored: a row costs a list and a string
+of half its size.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 from typing import IO, Iterable
 
 from .triangle import DEFAULT_CELL_BUDGET, Row, TYPE_A, _Sized, child_edges, generate_rows
 
 
-def _write_values(values: list[int], sep: str, fp: IO[str]) -> None:
-    """Write sep.join of a palindrome's decimals: the left half's, then their mirror."""
-    half = (len(values) + 1) // 2
+def _write_values(half: list[int], size: int, sep: str, fp: IO[str]) -> None:
+    """Write sep.join of a size-cell palindrome's decimals: the half's, then mirrored."""
     # kind-B cells copy their parent, so rows have few distinct values to convert
-    decimals = {v: str(v) for v in set(islice(values, half))}
-    left = list(_Sized(map(decimals.__getitem__, islice(values, half)), half))
+    decimals = {v: str(v) for v in set(half)}
+    left = list(_Sized(map(decimals.__getitem__, half), len(half)))
     fp.write(sep.join(left))
-    if len(values) % 2:
+    if size % 2:
         left.pop()  # the middle cell is not mirrored
     if left:
         left.reverse()
@@ -32,23 +32,17 @@ def _write_values(values: list[int], sep: str, fp: IO[str]) -> None:
 
 
 def write_csv(rows: Iterable[Row], fp: IO[str]) -> None:
-    """One triangle row per line, comma-separated decimal values.
-
-    Rows must come from generate_rows or next_row: each is written from its left half.
-    """
+    """One triangle row per line, comma-separated decimal values."""
     for row in rows:
-        _write_values(row.values, ",", fp)
+        _write_values(row.half, len(row), ",", fp)
         fp.write("\n")
 
 
 def write_json(rows: Iterable[Row], fp: IO[str]) -> None:
-    """One JSON object {n, values, kinds} per line; no digit or kind needs escaping.
-
-    Rows must come from generate_rows or next_row: each is written from its left half.
-    """
+    """One JSON object {n, values, kinds} per line; no digit or kind needs escaping."""
     for row in rows:
         fp.write(f'{{"n":{row.n},"values":["')
-        _write_values(row.values, '","', fp)
+        _write_values(row.half, len(row), '","', fp)
         fp.write('"],"kinds":["')
         left = '","'.join(row.kinds[: (len(row.kinds) + 1) // 2])
         fp.write(left)

@@ -145,8 +145,8 @@ class PairLocation:
 
     When verified is FULL_ROW, cells (col, col+1) of the row hold the
     pair in the reported orientation: (u, v) as given, or (v, u) when
-    only the mirror image was found.  Out-of-budget rows come back
-    UNVERIFIED with col None.
+    only the mirror image was found (never, since rows are palindromes).
+    Out-of-budget rows come back UNVERIFIED with col None.
     """
 
     u: int
@@ -168,23 +168,31 @@ class PairLocation:
         return self.pair_kinds
 
 
-def _scan(values: list[int], u: int, v: int) -> tuple[int, str] | None:
-    """Leftmost adjacency of (u, v); mirror hits only when none as given.
+def _scan(half: list[int], size: int, u: int, v: int) -> tuple[int, str] | None:
+    """Leftmost adjacency of (u, v) in the size-cell palindrome with this left half.
 
-    Hops between occurrences of the pair's first value with list.index,
-    so the per-cell work runs in C.
+    A palindrome holds (v, u) at column c exactly when it holds (u, v) at
+    size-2-c, so every hit is as given.  One hop over the occurrences of u
+    with list.index, so the per-cell work runs in C, finds the leftmost
+    (u, v) inside the half, else the last (v, u) there, whose mirror is the
+    leftmost (u, v) right of the middle pair.
     """
-    stop = len(values) - 1  # the last cell that can start a pair is stop - 1
-    for first, second, orientation in ((u, v, AS_GIVEN), (v, u, MIRRORED)):
-        j = -1
-        try:
-            while True:
-                j = values.index(first, j + 1, stop)
-                if values[j + 1] == second:
-                    return j, orientation
-        except ValueError:
-            pass
-    return None
+    middle = len(half) - 1  # column of the pair that straddles the middle
+    last = None
+    j = -1
+    try:
+        while True:
+            j = half.index(u, j + 1)
+            if j < middle and half[j + 1] == v:
+                return j, AS_GIVEN
+            if j and half[j - 1] == v:
+                last = j - 1
+    except ValueError:
+        pass
+    # the cell right of the half mirrors half[-2] in an odd row, half[-1] in an even one
+    if size > 1 and (half[middle], half[middle - size % 2]) == (u, v):
+        return middle, AS_GIVEN
+    return None if last is None else (size - 2 - last, AS_GIVEN)
 
 
 class PairScanner:
@@ -220,7 +228,7 @@ class PairScanner:
 
     def feed(self, row: Row) -> None:
         for i, u, v, trace in self._waiting.pop(row.n, ()):
-            hit = _scan(row.values, u, v)
+            hit = _scan(row.half, len(row), u, v)
             if hit is None:
                 self.outcomes[i] = LocationFailure(u, v, row.n)
                 continue

@@ -175,7 +175,7 @@ def alt_sum(n: int) -> int:
 
 
 def alt_triple_from_row(row: Row) -> AltTriple:
-    """Signed A-part / B-part / total sums of a q = 5 row from next_row or generate_rows.
+    """Signed A-part / B-part / total sums of a q = 5 row.
 
     The sign of cell i is (-1)**i.  Rows are palindromes, so cells k and L-1-k
     share value and kind: their signs cancel in an even-length row, whose parts
@@ -183,15 +183,15 @@ def alt_triple_from_row(row: Row) -> AltTriple:
     its signed left half plus the signed middle cell.  Wingers add to the total
     only: +2, or +1 in row 0.
     """
-    values, kinds = row.values, row.kinds
-    h, odd = divmod(len(values), 2)
+    half, kinds = row.half, row.kinds
+    h, odd = divmod(len(row), 2)
     if not odd:
         return AltTriple(0, 0, 0)
     mask = _half_a_mask(kinds, h)
-    mid = -values[h] if h % 2 else values[h]
-    total = 2 * (sum(islice(values, 0, h, 2)) - sum(islice(values, 1, h, 2))) + mid
-    a = 2 * (sum(compress(islice(values, 0, h, 2), mask[0::2]))
-             - sum(compress(islice(values, 1, h, 2), mask[1::2])))
+    mid = -half[h] if h % 2 else half[h]
+    total = 2 * (sum(islice(half, 0, h, 2)) - sum(islice(half, 1, h, 2))) + mid
+    a = 2 * (sum(compress(islice(half, 0, h, 2), mask[0::2]))
+             - sum(compress(islice(half, 1, h, 2), mask[1::2])))
     a += mid if kinds[h] == TYPE_A else 0
     return AltTriple(a, total - a - (2 if h else 1), total)
 

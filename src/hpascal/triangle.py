@@ -17,8 +17,9 @@ Pascal's triangle exactly.
 
 Rows are palindromes, by induction: a child reads 1, C0 M01, C1 M12, ...,
 M(m-2,m-1), 1, each copy block Ci of identical cells, so reversing a
-palindrome's child gives the same child.  next_row builds the left half
-and mirrors it.
+palindrome's child gives the same child.  A row therefore stores only its
+left half, cells 0..ceil(L/2)-1, with the full string of kinds; next_row
+builds a child's half from its parent's half, and every reader reads it.
 
 Rows are immutable once produced; generation is strictly streaming
 (row n+1 is built from row n only), and row sizes grow geometrically,
@@ -66,19 +67,29 @@ class Cell(NamedTuple):
 
 @dataclass(slots=True)
 class Row:
-    """One row: index n, cell values and a parallel string of kinds."""
+    """One row: index n, the values of its left half and the kinds of all its cells.
+
+    half holds cells 0..ceil(L/2)-1 of a row of L = len(kinds) cells; cell
+    k has the value of cell L-1-k.
+    """
 
     n: int
-    values: list[int]
+    half: list[int]
     kinds: str
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.kinds)
+
+    @property
+    def values(self) -> list[int]:
+        """Every cell's value, a full copy built on each access: for small rows only."""
+        return self.half + self.half[: len(self) // 2][::-1]
 
     def cell(self, k: int) -> Cell:
-        if not 0 <= k < len(self.values):
+        size = len(self)
+        if not 0 <= k < size:
             raise IndexError(f"row {self.n} has no cell {k}")
-        return Cell(self.values[k], self.kinds[k])
+        return Cell(self.half[min(k, size - 1 - k)], self.kinds[k])
 
 
 def _check_q(q: int) -> None:
@@ -92,7 +103,7 @@ def initial_row() -> Row:
 
 
 class _Sized:
-    """An iterator with a stated length, so list() and extend() allocate for it once."""
+    """An iterator with a stated length, so list() allocates for it once."""
 
     def __init__(self, it: Iterator, n: int) -> None:
         self.it, self.n = it, n
@@ -120,23 +131,24 @@ def _slot_word(kinds: str, q: int) -> bytes:
 
 
 def next_row(row: Row, q: int) -> Row:
-    """The child of row, a palindrome as row is: its left half, then mirrored.
+    """The child of row, a palindrome as row is, built as its left half.
 
-    row must come from initial_row, next_row or generate_rows; a hand-made
-    row that is not a palindrome is not supported.
+    The child's half reads cells 0..ceil(m/2) of an m-cell parent: its half
+    and cell ceil(m/2).  That cell is half[-1] when m is even; when m is odd
+    only its merge reads it, which falls right of the child's middle, so
+    half[-1] stands in for it there too.
     """
     _check_q(q)
-    # kinds first and no slice of row.values: both keep the locator's peak low
+    # kinds first and no copy of row.half: both keep the locator's peak low
     word = _slot_word(row.kinds, q)
     kinds = word.replace(b"\0", b"").decode()
-    size = len(kinds)
-    copies = [iter(row.values) for _ in range(q - 3)]
-    merges = map(add, row.values, islice(row.values, 1, None))
-    slots = chain((1,), chain.from_iterable(zip(*copies, merges)), (1,))
-    # both steps claim their lengths, so the list is allocated once, at size
-    values = list(_Sized(islice(compress(slots, word), (size + 1) // 2), size))
-    values.extend(_Sized(islice(reversed(values), size % 2, None), size // 2))
-    return Row(row.n + 1, values, kinds)
+    half, extra = row.half, row.half[-1:]
+    copies = [chain(half, extra) for _ in range(q - 3)]
+    merges = map(add, chain(half, extra), chain(islice(half, 1, None), extra))
+    slots = chain((1,), chain.from_iterable(zip(*copies, merges)))
+    size = (len(kinds) + 1) // 2
+    # the half claims its length, so the list is allocated once, at size
+    return Row(row.n + 1, list(_Sized(islice(compress(slots, word), size), size)), kinds)
 
 
 def _coupled_counts(q: int) -> Iterator[tuple[int, int]]:
@@ -198,24 +210,24 @@ def row_counts(row: Row) -> tuple[int, int, int]:
         raise ValueError("row 0 has no winger pair; counts start at row 1")
     a = row.kinds.count(TYPE_A)
     b = row.kinds.count(TYPE_B)
-    return a, b, len(row.values)
+    return a, b, len(row)
 
 
 def row_sums(row: Row) -> tuple[int, int, int]:
-    """(sum over kind-A, sum over kind-B, total sum) of a row from next_row or
-    generate_rows: a palindrome, so each is twice its left half plus any middle cell."""
+    """(sum over kind-A, sum over kind-B, total sum) of a row: a palindrome,
+    so each is twice its left half plus any middle cell."""
     if row.n < 1:
         raise ValueError("row 0 has no winger pair; sums start at row 1")
-    h, odd = divmod(len(row.values), 2)
-    mid = row.values[h] if odd else 0
-    total = 2 * sum(islice(row.values, h)) + mid
-    a = 2 * sum(compress(row.values, _half_a_mask(row.kinds, h)))
+    h, odd = divmod(len(row), 2)
+    mid = row.half[h] if odd else 0
+    total = 2 * sum(islice(row.half, h)) + mid
+    a = 2 * sum(compress(row.half, _half_a_mask(row.kinds, h)))
     a += mid if row.kinds[h] == TYPE_A else 0
     return a, total - a - 2, total
 
 
 def central_cell(row: Row) -> Cell:
-    m = len(row.values)
+    m = len(row)
     if m % 2 == 0:
         raise NoCentralCell(f"row {row.n} has {m} cells")
     return row.cell(m // 2)

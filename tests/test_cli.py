@@ -357,7 +357,7 @@ def test_degenerate_discriminant_stays_a_usage_error(capsys, monkeypatch):
      "error: pair (1, 2) not adjacent anywhere in row 2\n"),
 ])
 def test_pair_missing_from_its_row_is_a_failed_check(capsys, monkeypatch, argv, err):
-    monkeypatch.setattr("hpascal.locator._scan", lambda values, u, v: None)
+    monkeypatch.setattr("hpascal.locator._scan", lambda half, size, u, v: None)
     assert run(capsys, *argv) == (1, "", err)
 
 

@@ -150,12 +150,53 @@ def test_descent_trace_sums_to_locate_row_up_to_60():
 
 
 def test_scan_matches_reference_including_mirror_hits():
+    # _scan reads a palindrome's left half; a hit right of the middle is the
+    # mirror of a reversed pair inside the half
     rng = random.Random(5)
     for _ in range(500):
-        values = [rng.randint(1, 4) for _ in range(rng.randint(0, 12))]
+        half = [rng.randint(1, 4) for _ in range(rng.randint(1, 7))]
+        size = 2 * len(half) - rng.randint(0, 1)
+        values = half + half[: size // 2][::-1]
         u, v = rng.randint(1, 5), rng.randint(1, 5)
-        assert _scan(values, u, v) == reference_scan(values, u, v), (values, u, v)
-    assert _scan([3, 1, 2, 3], 2, 1) == (1, MIRRORED)
+        assert _scan(half, size, u, v) == reference_scan(values, u, v), (values, u, v)
+    assert _scan([3, 1, 2, 4], 8, 2, 1) == (5, AS_GIVEN)  # in 3 1 2 4 4 2 1 3
+
+
+def scan_reference(values, u, v):
+    """The full-row scan _scan replaced: leftmost (u, v), else leftmost (v, u)."""
+    stop = len(values) - 1  # the last cell that can start a pair is stop - 1
+    for first, second, orientation in ((u, v, AS_GIVEN), (v, u, MIRRORED)):
+        j = -1
+        try:
+            while True:
+                j = values.index(first, j + 1, stop)
+                if values[j + 1] == second:
+                    return j, orientation
+        except ValueError:
+            pass
+    return None
+
+
+def test_half_scan_matches_the_full_row_scan_on_q5_rows(rows_q5):
+    # both scans cost a pass over the row per absent pair, so rows 12..14,
+    # with 3643 to 14996 distinct pairs, are sampled
+    rng = random.Random(14)
+    for row in rows_q5[:15]:
+        values = row.values
+        pairs = sorted(set(zip(values, values[1:])))
+        if len(pairs) > 2000:
+            pairs = rng.sample(pairs, 120)
+        probes = {*pairs, *((v, u) for u, v in pairs), *((u, u) for u, _ in pairs),
+                  *((u, v + 1) for u, v in pairs)}
+        for u, v in probes:
+            hit = _scan(row.half, len(row), u, v)
+            assert hit == scan_reference(values, u, v), (row.n, u, v)
+            if hit is not None:
+                col, orientation = hit
+                kinds = (row.kinds[col], row.kinds[col + 1])
+                loc = PairLocation(u, v, row.n, col, FULL_ROW, orientation, kinds)
+                assert (values[col], values[col + 1]) == (u, v)
+                assert loc.value_kinds == kinds
 
 
 def test_locate_pairs_agrees_with_per_pair_scans():
@@ -229,7 +270,7 @@ def test_every_stored_row_sits_at_its_own_index(locator_rows):
 
 def test_a_warm_memo_still_raises_location_failure(locator_rows, monkeypatch):
     assert locate_pair(5, 8).verified == FULL_ROW
-    monkeypatch.setattr("hpascal.locator._scan", lambda values, u, v: None)
+    monkeypatch.setattr("hpascal.locator._scan", lambda half, size, u, v: None)
     with pytest.raises(LocationFailure) as exc_info:
         locate_pair(5, 8)
     assert (exc_info.value.u, exc_info.value.v, exc_info.value.row) == (5, 8, 5)
@@ -264,7 +305,7 @@ def test_concurrent_callers_get_single_thread_answers(built_rows, locator_rows):
 
 
 def test_locate_pairs_raises_the_first_failure_in_input_order(monkeypatch):
-    monkeypatch.setattr("hpascal.locator._scan", lambda values, u, v: None)
+    monkeypatch.setattr("hpascal.locator._scan", lambda half, size, u, v: None)
     with pytest.raises(LocationFailure) as exc_info:
         locate_pairs([(10**6, 10**6 + 1), (5, 8), (2, 3)], cell_budget=10**5)
     assert (exc_info.value.u, exc_info.value.v, exc_info.value.row) == (5, 8, 5)

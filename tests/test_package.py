@@ -49,3 +49,28 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert done.stdout == "[]\n"
+
+
+def test_only_small_rows_are_read_through_row_values():
+    # Row.values builds a full copy of the row on each access, so large rows
+    # are read through row.half; write_dot and euclidean_oracle read rows of
+    # a few hundred cells.  An x.values() call is a dict's, not a row's.
+    allowed = {("triangle.py", "Row.values"), ("export.py", "write_dot"),
+               ("verify.py", "euclidean_oracle")}
+    found = set()
+
+    def visit(node, path, scope, called):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, f"{scope}.{child.name}".lstrip("."), called)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "values":
+                if id(child) not in called:
+                    found.add((path.name, scope))
+            visit(child, path, scope, called)
+
+    for path in sorted(Path(hpascal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        visit(tree, path, "", called)
+    assert found <= allowed

@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 from itertools import islice
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from hpascal.triangle import (
     BudgetExceeded,
     Cell,
     NoCentralCell,
-    Row,
     binomial_row,
     central_cell,
     child_edges,
@@ -75,13 +75,21 @@ def assert_children_come_from_parents(parent_row, child_row, q):
             assert value == sum(parent_values)
 
 
+class FullRow(NamedTuple):
+    """A row as the reference builder keeps it: every cell's value."""
+
+    n: int
+    values: list[int]
+    kinds: str
+
+
 def reference_next_row(row, q):
     """The cell-by-cell builder: appends each child's value and kind in turn."""
-    if len(row) == 1:
-        return Row(row.n + 1, [1, 1], "WW")
+    if len(row.values) == 1:
+        return FullRow(row.n + 1, [1, 1], "WW")
     fill = {"A": q - 4, "B": q - 3}
     values, kinds = [1], ["W"]
-    for i in range(1, len(row)):
+    for i in range(1, len(row.values)):
         if i > 1:
             parent = row.values[i - 1]
             for _ in range(fill[row.kinds[i - 1]]):
@@ -91,7 +99,7 @@ def reference_next_row(row, q):
         kinds.append("A")
     values.append(1)
     kinds.append("W")
-    return Row(row.n + 1, values, "".join(kinds))
+    return FullRow(row.n + 1, values, "".join(kinds))
 
 
 @pytest.mark.parametrize("q", [5, 6, 7])
@@ -183,6 +191,8 @@ def test_row_cell():
             assert nth_row(q, n).cell(0) == Cell(1, "W")
     with pytest.raises(IndexError):
         nth_row(5, 3).cell(5)
+    for row in generate_rows(5, 8):  # cells right of the middle read their mirror
+        assert [row.cell(k) for k in range(len(row))] == list(map(Cell, row.values, row.kinds))
 
 
 def test_q_below_four_rejected():
@@ -240,8 +250,7 @@ def test_rows_built_cell_by_cell_are_palindromes(q, budget, depth):
 
 
 def test_mirrored_cells_share_their_values():
-    # a builder that computed the right half again would hold two ints per
-    # value and lose the peak-memory gain on the locator's kept rows
+    # the full view mirrors the half's ints: it never holds two ints per value
     values = nth_row(5, 14).values
     assert len(values) % 2 == 1
     assert all(values[k] is values[-1 - k] for k in range(len(values) // 2))
@@ -263,14 +272,14 @@ def test_rows_of_any_q_are_palindromes_built_from_their_parents(q, budget, depth
 @pytest.mark.parametrize("q", [4, 5, 7])
 def test_next_row_leaves_its_parent_unchanged(q):
     parent = nth_row(q, 6)
-    values, cells, kinds = parent.values, list(parent.values), parent.kinds
+    half, cells, kinds = parent.half, list(parent.half), parent.kinds
     next_row(parent, q)
-    assert parent.values is values and parent.values == cells
+    assert parent.half is half and parent.half == cells
     assert parent.kinds is kinds
 
 
 def test_next_row_never_copies_its_parent_values_into_an_even_child():
-    # row 13 mirrors its 46370 cells with no middle one, unlike row 14
+    # row 13 has 46370 cells and no middle one, unlike row 14
     parent = nth_row(5, 12)
     tracemalloc.start()
     try:
@@ -280,6 +289,19 @@ def test_next_row_never_copies_its_parent_values_into_an_even_child():
         tracemalloc.stop()
     assert len(child) % 2 == 0
     assert (peak - held) / len(parent) <= 4
+
+
+def test_a_kept_child_stores_only_its_left_half():
+    # the locator keeps q = 5 rows 0..18: a full row of pointers and kinds
+    # holds 9.3 bytes a cell, its left half and the kinds 5.3
+    parent = nth_row(5, 13)
+    tracemalloc.start()
+    try:
+        child = next_row(parent, 5)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / len(child) <= 6
 
 
 def test_next_row_never_copies_its_parent_values():
@@ -297,7 +319,7 @@ def test_next_row_never_copies_its_parent_values():
 
 
 # the first six children have 1 cell mod 4; the rest cover 0, 2 and 3, small
-# and large, since the mirror's fit depends on the parity and the rounding
+# and large, since the half's length depends on the parity and the rounding
 @pytest.mark.parametrize(
     "q, n",
     [(4, 200), (5, 6), (5, 12), (6, 8), (7, 5), (10, 4),
@@ -307,5 +329,5 @@ def test_next_row_allocates_its_values_once_at_their_length(q, n):
     # list() of an iterable with a length allocates it exactly (CPython may
     # round up to an even slot count), as a copy of the list does; grown
     # without one, a row keeps 8-15% slack
-    values = nth_row(q, n).values
-    assert sys.getsizeof(values) == sys.getsizeof(list(values))
+    half = nth_row(q, n).half
+    assert sys.getsizeof(half) == sys.getsizeof(list(half))

@@ -62,21 +62,21 @@ def test_three_way_fails_when_a_generated_row_goes_missing(two_cpus, monkeypatch
     assert (result.passed, result.detail) == (False, "generated row missing at q=7 n=5")
 
 
-def test_three_way_fails_when_a_worker_row_breaks_its_mirror(two_cpus, monkeypatch, built_rows):
-    # row_sums reads only the left half, so the length in row_counts must
-    # catch a right half that no longer mirrors the left
+def test_three_way_fails_when_a_worker_row_has_a_wrong_cell(two_cpus, monkeypatch, built_rows):
+    # a row stores only its left half, so one wrong cell there is a wrong
+    # pair of cells, and row_sums must see it
     original = triangle.next_row
 
-    def one_cell_too_many(row, q):
+    def one_wrong_cell(row, q):
         child = original(row, q)
         if (q, child.n) == (7, 5):
-            return triangle.Row(child.n, child.values + [1], child.kinds + triangle.WINGER)
+            child.half[3] += 1
         return child
 
-    monkeypatch.setattr(triangle, "next_row", one_cell_too_many)
+    monkeypatch.setattr(triangle, "next_row", one_wrong_cell)
     monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", 10**4)  # small rows suffice
     (result,) = verify.run(["three-way"])
-    assert (result.passed, result.detail) == (False, "generated counts mismatch at q=7 n=5")
+    assert (result.passed, result.detail) == (False, "generated sums mismatch at q=7 n=5")
     (builder,) = [pid for pid, q, n in built_rows.log() if (q, n) == (7, 5)]
     assert builder != os.getpid()  # the broken row came from the worker
 
@@ -270,7 +270,7 @@ def test_a_euclidean_mismatch_names_its_cell(monkeypatch):
 
 
 def test_an_embedding_pair_missing_from_its_row_fails_the_suite(monkeypatch):
-    monkeypatch.setattr(locator, "_scan", lambda values, u, v: None)
+    monkeypatch.setattr(locator, "_scan", lambda half, size, u, v: None)
     (result,) = verify.run(["embeddings"])
     assert not result.passed
     assert result.detail.startswith("location failure: pair (")
