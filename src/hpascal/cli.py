@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from itertools import islice
 
 from . import export, linrec, locator, pattern, sequences, verify
 from .triangle import (
@@ -22,6 +21,7 @@ from .triangle import (
     DEFAULT_CELL_BUDGET,
     generate_rows,
     nth_row,
+    position_sum,
     row_counts,
     row_sums,
 )
@@ -108,13 +108,7 @@ def cmd_altsum(args, fp) -> int:
     else:
         value = sequences.alt_sum(args.n)
     if args.cross_check:
-        row = nth_row(5, args.n, args.budget)
-        half, mid = row.half, len(row.half) - 1
-        if len(row) % 2:  # cells k and L-1-k share a parity; the middle one is not mirrored
-            evens, odds = sum(islice(half, 0, None, 2)), sum(islice(half, 1, None, 2))
-            direct = 2 * (v * evens + w * odds) - (w if mid % 2 else v) * half[mid]
-        else:  # their parities differ, so each mirrored pair weighs v + w
-            direct = (v + w) * sum(half)
+        direct = position_sum(nth_row(5, args.n, args.budget), v, w)
         fp.write(f"formula: {value}\nrow: {direct}\n")
         return _verdict(fp, direct == value)
     if args.json:

@@ -44,7 +44,6 @@ FULL_ROW = "full-row"
 UNVERIFIED = "unverified"
 
 AS_GIVEN = "as-given"
-MIRRORED = "mirrored"
 
 
 class LocationFailure(Exception):
@@ -143,10 +142,10 @@ def descent_trace(u: int, v: int) -> list[DescentStep]:
 class PairLocation:
     """Where (u, v) sits, and how strongly that was checked.
 
-    When verified is FULL_ROW, cells (col, col+1) of the row hold the
-    pair in the reported orientation: (u, v) as given, or (v, u) when
-    only the mirror image was found (never, since rows are palindromes).
-    Out-of-budget rows come back UNVERIFIED with col None.
+    When verified is FULL_ROW, cells (col, col+1) of the row hold (u, v)
+    as given, of kinds value_kinds, and orientation is AS_GIVEN: rows are
+    palindromes, so a (v, u) always mirrors a (u, v).  Out-of-budget rows
+    come back UNVERIFIED with col, orientation and value_kinds None.
     """
 
     u: int
@@ -155,44 +154,34 @@ class PairLocation:
     col: int | None
     verified: str
     orientation: str | None
-    pair_kinds: tuple[str, str] | None
+    value_kinds: tuple[str, str] | None
     trace: list[DescentStep] = field(default_factory=list)
 
-    @property
-    def value_kinds(self) -> tuple[str, str] | None:
-        """Kinds of the cells holding (u, v) in that order, if verified."""
-        if self.pair_kinds is None:
-            return None
-        if self.orientation == MIRRORED:
-            return (self.pair_kinds[1], self.pair_kinds[0])
-        return self.pair_kinds
 
-
-def _scan(half: list[int], size: int, u: int, v: int) -> tuple[int, str] | None:
-    """Leftmost adjacency of (u, v) in the size-cell palindrome with this left half.
+def _scan(half: list[int], size: int, u: int, v: int) -> int | None:
+    """Column of the leftmost (u, v) in the size-cell palindrome with this left half.
 
     A palindrome holds (v, u) at column c exactly when it holds (u, v) at
-    size-2-c, so every hit is as given.  One hop over the occurrences of u
-    with list.index, so the per-cell work runs in C, finds the leftmost
-    (u, v) inside the half, else the last (v, u) there, whose mirror is the
-    leftmost (u, v) right of the middle pair.
+    size-2-c.  One hop over the occurrences of u with list.index, so the
+    per-cell work runs in C, finds the leftmost (u, v) inside the half,
+    else the last (v, u) there, whose mirror is the leftmost (u, v) right
+    of the middle pair.
     """
     middle = len(half) - 1  # column of the pair that straddles the middle
-    last = None
-    j = -1
+    last, j = None, -1
     try:
         while True:
             j = half.index(u, j + 1)
             if j < middle and half[j + 1] == v:
-                return j, AS_GIVEN
+                return j
             if j and half[j - 1] == v:
                 last = j - 1
     except ValueError:
         pass
     # the cell right of the half mirrors half[-2] in an odd row, half[-1] in an even one
     if size > 1 and (half[middle], half[middle - size % 2]) == (u, v):
-        return middle, AS_GIVEN
-    return None if last is None else (size - 2 - last, AS_GIVEN)
+        return middle
+    return None if last is None else size - 2 - last
 
 
 class PairScanner:
@@ -228,14 +217,13 @@ class PairScanner:
 
     def feed(self, row: Row) -> None:
         for i, u, v, trace in self._waiting.pop(row.n, ()):
-            hit = _scan(row.half, len(row), u, v)
-            if hit is None:
+            col = _scan(row.half, len(row), u, v)
+            if col is None:
                 self.outcomes[i] = LocationFailure(u, v, row.n)
                 continue
-            col, orientation = hit
             kinds = (row.kinds[col], row.kinds[col + 1])
             self.outcomes[i] = PairLocation(
-                u, v, row.n, col, FULL_ROW, orientation, kinds, trace
+                u, v, row.n, col, FULL_ROW, AS_GIVEN, kinds, trace
             )
 
 

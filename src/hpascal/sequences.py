@@ -20,11 +20,11 @@ sum stabilises: it is 1 for row 0, vanishes for rows of even length
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .quadfield import QuadElem
-from .triangle import Row, TYPE_A, _coupled_counts, _half_a_mask
+from .triangle import Row, TYPE_A, _check_q, _coupled_counts, position_sum
 
 
 class DegenerateDiscriminant(ValueError):
@@ -60,8 +60,7 @@ class AltTriple(NamedTuple):
 
 
 def _check_args(q: int, n: int) -> None:
-    if q < 4:
-        raise ValueError(f"q must be at least 4, got {q}")
+    _check_q(q)
     if n < 1:
         raise ValueError(f"row index must be at least 1, got {n}")
 
@@ -177,23 +176,14 @@ def alt_sum(n: int) -> int:
 def alt_triple_from_row(row: Row) -> AltTriple:
     """Signed A-part / B-part / total sums of a q = 5 row.
 
-    The sign of cell i is (-1)**i.  Rows are palindromes, so cells k and L-1-k
-    share value and kind: their signs cancel in an even-length row, whose parts
-    are 0 with no value read, and agree in an odd one, so each part is twice
-    its signed left half plus the signed middle cell.  Wingers add to the total
-    only: +2, or +1 in row 0.
+    The sign of cell i is (-1)**i; triangle.position_sum folds each signed
+    sum from the row's left half, and an even-length row, whose mirrored
+    cells cancel, reads no value.  Wingers add to the total only: +1 in
+    row 0, +2 in other odd-length rows and 0 in even-length ones.
     """
-    half, kinds = row.half, row.kinds
-    h, odd = divmod(len(row), 2)
-    if not odd:
-        return AltTriple(0, 0, 0)
-    mask = _half_a_mask(kinds, h)
-    mid = -half[h] if h % 2 else half[h]
-    total = 2 * (sum(islice(half, 0, h, 2)) - sum(islice(half, 1, h, 2))) + mid
-    a = 2 * (sum(compress(islice(half, 0, h, 2), mask[0::2]))
-             - sum(compress(islice(half, 1, h, 2), mask[1::2])))
-    a += mid if kinds[h] == TYPE_A else 0
-    return AltTriple(a, total - a - (2 if h else 1), total)
+    a, total = position_sum(row, 1, -1, TYPE_A), position_sum(row, 1, -1)
+    wingers = 0 if len(row) % 2 == 0 else 2 if row.n else 1
+    return AltTriple(a, total - a - wingers, total)
 
 
 def alt_step(a_part: int, b_part: int) -> tuple[int, int]:

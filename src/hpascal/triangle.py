@@ -40,7 +40,8 @@ TYPE_B = "B"
 
 DEFAULT_CELL_BUDGET = 10**7
 
-_A_TABLE = bytes.maketrans(b"WAB", b"\0\1\0")  # bytes.translate: A to 1, else 0
+# per kind, a bytes.translate table taking that kind to 1 and the others to 0
+_KIND_TABLES = {k: bytes.maketrans(b"WAB", bytes(c == k for c in "WAB")) for k in "WAB"}
 
 
 class BudgetExceeded(Exception):
@@ -199,11 +200,6 @@ def nth_row(q: int, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> Row:
     return row
 
 
-def _half_a_mask(kinds: str, h: int) -> bytes:
-    """1 at each kind-A cell of kinds[:h], 0 elsewhere: a selector for compress."""
-    return kinds[:h].encode("ascii").translate(_A_TABLE)
-
-
 def row_counts(row: Row) -> tuple[int, int, int]:
     """(#kind-A, #kind-B, total) cells of a row with index >= 1."""
     if row.n < 1:
@@ -213,16 +209,38 @@ def row_counts(row: Row) -> tuple[int, int, int]:
     return a, b, len(row)
 
 
+def position_sum(row: Row, even: int = 1, odd: int = 1, kind: str | None = None) -> int:
+    """Sum of even * value over the even columns and odd * value over the odd
+    ones, over the cells of this kind only when one is given.
+
+    Read from the left half: cells k and L-1-k share value and kind, and a
+    column parity exactly when L is odd.  An odd row is twice its weighted
+    half plus its weighted middle cell; in an even row each mirrored pair
+    weighs even + odd, and no value is read when that is 0.
+    """
+    half, (h, odd_row) = row.half, divmod(len(row), 2)
+    if not odd_row and not even + odd:
+        return 0
+    mask = kind and row.kinds[:h].encode("ascii").translate(_KIND_TABLES[kind])
+
+    def fold(start: int, step: int) -> int:  # half[start:h:step], of the kind if given
+        # compress stops where the h-byte mask does, so a whole half goes in unwrapped
+        cells = half if mask is not None and step == 1 else islice(half, start, h, step)
+        return sum(cells if mask is None else compress(cells, mask[start::step]))
+
+    if not odd_row:
+        return (even + odd) * fold(0, 1)
+    mid = half[h] * (odd if h % 2 else even) if kind in (None, row.kinds[h]) else 0
+    if even == odd:
+        return 2 * even * fold(0, 1) + mid
+    return 2 * (even * fold(0, 2) + odd * fold(1, 2)) + mid
+
+
 def row_sums(row: Row) -> tuple[int, int, int]:
-    """(sum over kind-A, sum over kind-B, total sum) of a row: a palindrome,
-    so each is twice its left half plus any middle cell."""
+    """(sum over kind-A, sum over kind-B, total sum) of a row with index >= 1."""
     if row.n < 1:
         raise ValueError("row 0 has no winger pair; sums start at row 1")
-    h, odd = divmod(len(row), 2)
-    mid = row.half[h] if odd else 0
-    total = 2 * sum(islice(row.half, h)) + mid
-    a = 2 * sum(compress(row.half, _half_a_mask(row.kinds, h)))
-    a += mid if row.kinds[h] == TYPE_A else 0
+    a, total = position_sum(row, kind=TYPE_A), position_sum(row)
     return a, total - a - 2, total
 
 

@@ -1,17 +1,29 @@
-"""row_sums and alt_triple_from_row read a row's left half and middle cell.
+"""position_sum, and row_sums and alt_triple_from_row through it, read a
+row's left half and middle cell.
 
-Both take a row from next_row, a palindrome, and read only its left half
+Each takes a row from next_row, a palindrome, and reads only its left half
 plus the middle cell of an odd row.  The references below read every
 cell.
 """
 
+import random
 import tracemalloc
 from itertools import compress
 
 import pytest
 
 from hpascal.sequences import AltTriple, alt_triple_from_row
-from hpascal.triangle import TYPE_A, TYPE_B, generate_rows, largest_row_within, nth_row, row_sums
+from hpascal.triangle import (
+    TYPE_A,
+    TYPE_B,
+    WINGER,
+    Row,
+    generate_rows,
+    largest_row_within,
+    nth_row,
+    position_sum,
+    row_sums,
+)
 
 _KIND_TABLES = {
     TYPE_A: bytes.maketrans(b"WAB", b"\0\1\0"),
@@ -41,6 +53,14 @@ def alt_triple_reference(row):
     return AltTriple(signed(TYPE_A), signed(TYPE_B), sum(even) - sum(odd))
 
 
+def position_sum_reference(row, even, odd, kind):
+    return sum(
+        (odd if k % 2 else even) * value
+        for k, (value, cell_kind) in enumerate(zip(row.values, row.kinds))
+        if kind in (None, cell_kind)
+    )
+
+
 @pytest.fixture(scope="module")
 def swept_rows():
     """(q, row) for every row within 3000 cells, q in 4..30; q = 4 stops at row 60."""
@@ -67,6 +87,23 @@ def test_row_sums_match_the_full_row_reference(swept_rows):
 def test_alt_triples_match_the_full_row_reference(swept_rows):
     for q, row in swept_rows:
         assert alt_triple_from_row(row) == alt_triple_reference(row), (q, row.n)
+
+
+def test_position_sums_match_the_full_row_reference(swept_rows):
+    rng = random.Random(18)
+    weights = [(1, 1), (1, -1), (0, 5), (3, -5)]
+    weights += [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(4)]
+    for q, row in swept_rows:
+        for even, odd in weights:
+            for kind in (None, TYPE_A, TYPE_B, WINGER):
+                assert position_sum(row, even, odd, kind) == position_sum_reference(
+                    row, even, odd, kind), (q, row.n, even, odd, kind)
+
+
+def test_position_sum_reads_no_value_of_an_even_row_whose_pairs_weigh_0():
+    real = nth_row(5, 4)  # rows 3t + 1 of q = 5 have even length
+    row = Row(real.n, ["not a number"] * len(real.half), real.kinds)
+    assert [position_sum(row, 2, -2, kind) for kind in (None, TYPE_A)] == [0, 0]
 
 
 @pytest.mark.parametrize(

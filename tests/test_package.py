@@ -51,12 +51,8 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     assert done.stdout == "[]\n"
 
 
-def test_only_small_rows_are_read_through_row_values():
-    # Row.values builds a full copy of the row on each access, so large rows
-    # are read through row.half; write_dot and euclidean_oracle read rows of
-    # a few hundred cells.  An x.values() call is a dict's, not a row's.
-    allowed = {("triangle.py", "Row.values"), ("export.py", "write_dot"),
-               ("verify.py", "euclidean_oracle")}
+def attribute_reads(attr):
+    """(module file, enclosing def or class path) of each uncalled `.attr` in the package."""
     found = set()
 
     def visit(node, path, scope, called):
@@ -64,7 +60,7 @@ def test_only_small_rows_are_read_through_row_values():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, path, f"{scope}.{child.name}".lstrip("."), called)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "values":
+            if isinstance(child, ast.Attribute) and child.attr == attr:
                 if id(child) not in called:
                     found.add((path.name, scope))
             visit(child, path, scope, called)
@@ -73,4 +69,21 @@ def test_only_small_rows_are_read_through_row_values():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         visit(tree, path, "", called)
-    assert found <= allowed
+    return found
+
+
+def test_only_small_rows_are_read_through_row_values():
+    # Row.values builds a full copy of the row on each access, so large rows
+    # are read through row.half; write_dot and euclidean_oracle read rows of
+    # a few hundred cells.  An x.values() call is a dict's, not a row's.
+    allowed = {("triangle.py", "Row.values"), ("export.py", "write_dot"),
+               ("verify.py", "euclidean_oracle")}
+    assert attribute_reads("values") <= allowed
+
+
+def test_only_triangle_the_writers_and_the_scanner_read_row_half():
+    # a row's sums are folded from its left half by triangle.position_sum
+    # alone; the CSV and JSON writers and the locator's scan read it as is
+    allowed = {("export.py", "write_csv"), ("export.py", "write_json"),
+               ("locator.py", "PairScanner.feed")}
+    assert {read for read in attribute_reads("half") if read[0] != "triangle.py"} <= allowed
