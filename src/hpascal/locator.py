@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from . import triangle
@@ -72,8 +72,7 @@ class EuclidChain:
 
     quotients holds r0..rn of v = r0*u + t1, u = r1*t1 + t2, ...,
     remainders the nonzero t1..tn (so gcd = tn, or u itself when the
-    first division is already exact).  r is the quotient sum without
-    the final, exact division.
+    first division is already exact).
     """
 
     u: int
@@ -81,7 +80,6 @@ class EuclidChain:
     quotients: tuple[int, ...]
     remainders: tuple[int, ...]
     gcd: int
-    r: int
 
     @property
     def penultimate(self) -> int:
@@ -106,9 +104,7 @@ def euclid_chain(u: int, v: int) -> EuclidChain:
             break
         remainders.append(rem)
         a, b = b, rem
-    return EuclidChain(
-        u, v, tuple(quotients), tuple(remainders), b, sum(quotients[:-1])
-    )
+    return EuclidChain(u, v, tuple(quotients), tuple(remainders), b)
 
 
 def locate_row(u: int, v: int) -> int:
@@ -155,7 +151,7 @@ class PairLocation:
     verified: str
     orientation: str | None
     value_kinds: tuple[str, str] | None
-    trace: list[DescentStep] = field(default_factory=list)
+    trace: list[DescentStep]
 
 
 def _scan(half: list[int], size: int, u: int, v: int) -> int | None:

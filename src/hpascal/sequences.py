@@ -12,9 +12,10 @@ row n) obey x[n] = (q-1)x[n-1] - (q-1)x[n-2] + x[n-3]; their closed form
 lives in Q(sqrt(q^2-4q)).  Row sums obey x[n] = q x[n-1] - (q+1)x[n-2]
 + 2 x[n-3] with closed form in Q(sqrt(q^2-2q-7)).
 
-The alternating-sum helpers are specific to q = 5, where the signed row
-sum stabilises: it is 1 for row 0, vanishes for rows of even length
-(n = 3t+1) and for n = 2, is -2 for n = 3, and equals 2 from n = 5 on.
+alt_triple_from_row reads a row of any q; the other alternating-sum
+helpers are specific to q = 5, where the signed row sum stabilises: it is
+1 for row 0, vanishes for rows of even length (n = 3t+1) and for n = 2,
+is -2 for n = 3, and equals 2 from n = 5 on.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .quadfield import QuadElem
-from .triangle import Row, TYPE_A, _check_q, _coupled_counts, position_sum
+from .triangle import Row, _check_q, _coupled_counts, part_sums
 
 
 class DegenerateDiscriminant(ValueError):
@@ -50,8 +51,8 @@ class SumTriple(NamedTuple):
 class AltTriple(NamedTuple):
     """Signed sums over kind-A cells, kind-B cells, and the whole row.
 
-    Signs alternate with global cell position; the two wingers are
-    excluded from a_part and b_part but included in total.
+    Cell i has sign (-1)**i; the wingers, cells 0 and L-1, count in total
+    only.
     """
 
     a_part: int
@@ -147,7 +148,7 @@ def sums_closed(q: int, n: int) -> SumTriple:
 
 
 # ---------------------------------------------------------------------------
-# q = 5 only: parity, alternating and weighted sums
+# parity, alternating and weighted sums: q = 5 only, but alt_triple_from_row
 # ---------------------------------------------------------------------------
 
 
@@ -174,16 +175,8 @@ def alt_sum(n: int) -> int:
 
 
 def alt_triple_from_row(row: Row) -> AltTriple:
-    """Signed A-part / B-part / total sums of a q = 5 row.
-
-    The sign of cell i is (-1)**i; triangle.position_sum folds each signed
-    sum from the row's left half, and an even-length row, whose mirrored
-    cells cancel, reads no value.  Wingers add to the total only: +1 in
-    row 0, +2 in other odd-length rows and 0 in even-length ones.
-    """
-    a, total = position_sum(row, 1, -1, TYPE_A), position_sum(row, 1, -1)
-    wingers = 0 if len(row) % 2 == 0 else 2 if row.n else 1
-    return AltTriple(a, total - a - wingers, total)
+    """The AltTriple of a row of any q: triangle.part_sums at weights 1 and -1."""
+    return AltTriple(*part_sums(row, 1, -1))
 
 
 def alt_step(a_part: int, b_part: int) -> tuple[int, int]:

@@ -216,11 +216,9 @@ def position_sum(row: Row, even: int = 1, odd: int = 1, kind: str | None = None)
     Read from the left half: cells k and L-1-k share value and kind, and a
     column parity exactly when L is odd.  An odd row is twice its weighted
     half plus its weighted middle cell; in an even row each mirrored pair
-    weighs even + odd, and no value is read when that is 0.
+    weighs even + odd.
     """
     half, (h, odd_row) = row.half, divmod(len(row), 2)
-    if not odd_row and not even + odd:
-        return 0
     mask = kind and row.kinds[:h].encode("ascii").translate(_KIND_TABLES[kind])
 
     def fold(start: int, step: int) -> int:  # half[start:h:step], of the kind if given
@@ -236,12 +234,21 @@ def position_sum(row: Row, even: int = 1, odd: int = 1, kind: str | None = None)
     return 2 * (even * fold(0, 2) + odd * fold(1, 2)) + mid
 
 
+def part_sums(row: Row, even: int = 1, odd: int = 1) -> tuple[int, int, int]:
+    """position_sum(row, even, odd) over kind A, over kind B and over the whole
+    row; B is the total less A and the wingers, the cells of value 1 in
+    columns 0 and L-1 (row 0's one cell is its only winger)."""
+    size = len(row)
+    wingers = even if size == 1 else even + (even if size % 2 else odd)
+    a, total = position_sum(row, even, odd, TYPE_A), position_sum(row, even, odd)
+    return a, total - a - wingers, total
+
+
 def row_sums(row: Row) -> tuple[int, int, int]:
     """(sum over kind-A, sum over kind-B, total sum) of a row with index >= 1."""
     if row.n < 1:
         raise ValueError("row 0 has no winger pair; sums start at row 1")
-    a, total = position_sum(row, kind=TYPE_A), position_sum(row)
-    return a, total - a - 2, total
+    return part_sums(row)
 
 
 def central_cell(row: Row) -> Cell:

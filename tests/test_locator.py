@@ -48,22 +48,22 @@ def reference_column(hit):
 def test_euclid_chain_examples():
     chain = euclid_chain(2, 3)
     assert (chain.quotients, chain.remainders) == ((1, 2), (1,))
-    assert (chain.gcd, chain.r) == (1, 1)
+    assert chain.gcd == 1
 
     chain = euclid_chain(3, 5)
     assert (chain.quotients, chain.remainders) == ((1, 1, 2), (2, 1))
-    assert (chain.gcd, chain.r) == (1, 2)
+    assert chain.gcd == 1
 
     chain = euclid_chain(4, 6)
     assert (chain.quotients, chain.remainders) == ((1, 2), (2,))
-    assert (chain.gcd, chain.r) == (2, 1)
+    assert chain.gcd == 2
 
 
 def test_euclid_chain_degenerate_cases():
     chain = euclid_chain(1, 7)
-    assert (chain.quotients, chain.remainders, chain.gcd, chain.r) == ((7,), (), 1, 0)
+    assert (chain.quotients, chain.remainders, chain.gcd) == ((7,), (), 1)
     chain = euclid_chain(4, 4)
-    assert (chain.quotients, chain.remainders, chain.gcd, chain.r) == ((1,), (), 4, 0)
+    assert (chain.quotients, chain.remainders, chain.gcd) == ((1,), (), 4)
     with pytest.raises(ValueError):
         chain.penultimate
 

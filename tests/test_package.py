@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hpascal
 
 
@@ -49,6 +51,20 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "args, code, stdout, stderr",
+    [(["--q", "5", "--n", "3"], 0, "a=2 b=1 s=5\n", ""),
+     (["--q", "3", "--n", "1"], 2, "", "error: q must be at least 4, got 3\n")],
+)
+def test_python_dash_m_hpascal_runs_the_cli(args, code, stdout, stderr):
+    src = Path(hpascal.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "hpascal", "counts", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, stdout, stderr)
 
 
 def attribute_reads(attr):
