@@ -12,8 +12,9 @@ every row the named suites read once and hands it to each reader that
 reads it.  The calling process streams q = 5 while one forked worker
 streams the larger q's; while the worker finishes, the caller runs the
 suites that read no rows or only q = 5 rows, so only the suites that
-read the worker's rows run after the merge.  The suites that read closed
-forms share one table per run, so each closed form is evaluated once.
+read the worker's rows run after the merge; if the worker dies, those
+suites fail.  The suites that read closed forms share one table per
+run, so each closed form is evaluated once.
 """
 
 from __future__ import annotations
@@ -100,17 +101,13 @@ class RowReader:
                 self.error = exc
 
 
-def _stream(readers: list[RowReader], qs: list[int]) -> None:
+def _stream(readers: list[RowReader], qs: list[int]) -> list[tuple]:
     for q in qs:
         for row in generate_rows(q, max(r.last.get(q, -1) for r in readers)):
             for r in readers:
                 if row.n <= r.last.get(q, -1):
                     r.feed(q, row)
-
-
-def _stream_and_send(readers: list[RowReader], qs: list[int], send) -> None:
-    _stream(readers, qs)
-    send.send([(r.kept, r.error) for r in readers])
+    return [(r.kept, r.error) for r in readers]
 
 
 def stream(readers: list[RowReader], while_waiting: Callable[[set[int]], None]) -> None:
@@ -120,19 +117,21 @@ def stream(readers: list[RowReader], while_waiting: Callable[[set[int]], None]) 
     The caller then passes the first q to while_waiting (its readers are
     complete) and merges in what the worker's readers kept.  Every
     worker q is larger than the first, so the readers end as after one
-    stream of every q in order.  With one q, one CPU or no fork, every q
-    streams here and while_waiting is not called.
+    stream of every q in order, or, if the worker ends without sending,
+    as if a SuiteFailure naming it came at its first q.  With one q, one
+    CPU or no fork, every q streams here and while_waiting is not called.
     """
     import multiprocessing  # here, so that importing the CLI does not load it
 
     qs = sorted({q for r in readers for q in r.last})
     if (len(qs) < 2 or (os.cpu_count() or 1) < 2
             or "fork" not in multiprocessing.get_all_start_methods()):
-        return _stream(readers, qs)
+        _stream(readers, qs)
+        return
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     # forked: the readers and their keep functions are inherited, never pickled
-    worker = ctx.Process(target=_stream_and_send, args=(readers, qs[1:], send))
+    worker = ctx.Process(target=lambda: send.send(_stream(readers, qs[1:])))
     worker.start()
     send.close()
     sent = None
@@ -148,13 +147,13 @@ def stream(readers: list[RowReader], while_waiting: Callable[[set[int]], None]) 
             worker.kill()
         worker.join()
     if sent is None:
-        raise ChildProcessError(
+        died = SuiteFailure(
             f"the row worker, which took q in {qs[1:]}, exited with code {worker.exitcode}"
         )
+        sent = [({}, None if r.last.keys() <= set(qs[:1]) else died) for r in readers]
     for r, (kept, error) in zip(readers, sent):
-        if r.error is None:  # else the first q's failure stands, as in one stream
-            r.kept.update(kept)
-            r.error = error
+        r.kept.update(kept)
+        r.error = r.error or error
 
 
 def euclidean_oracle() -> str:
@@ -309,6 +308,13 @@ class PairRows(RowReader):
         self.scanner = locator.PairScanner(pairs)
         super().__init__({5: self.scanner.last_row}, self.scanner.feed)
 
+    def located(self) -> list[locator.PairLocation]:
+        """Every pair's PairLocation, once no pair is missing from its row."""
+        for out in self.scanner.outcomes:
+            if isinstance(out, locator.LocationFailure):
+                raise SuiteFailure(f"location failure: {out}")
+        return self.scanner.outcomes
+
 
 def _locator_rows() -> PairRows:
     coprime = [(u, v) for v in range(2, 31) for u in range(1, v) if math.gcd(u, v) == 1]
@@ -317,13 +323,9 @@ def _locator_rows() -> PairRows:
 
 def locator_pairs(seen: PairRows) -> str:
     """Every in-budget coprime pair up to 30 scan-verifies, plus spot pairs."""
-    outcomes = seen.scanner.outcomes
+    outcomes = seen.located()
     total = len(outcomes) - len(LOCATOR_SPOTS)
-    skipped = 0
-    for out in outcomes:
-        if isinstance(out, locator.LocationFailure):
-            raise SuiteFailure(f"location failure: {out}")
-        skipped += out.verified == locator.UNVERIFIED
+    skipped = sum(out.verified == locator.UNVERIFIED for out in outcomes)
     verified = total - skipped
     if verified < 0.9 * total:
         raise SuiteFailure(f"only {verified}/{total} coprime pairs verified")
@@ -352,10 +354,7 @@ def _embedding_rows() -> PairRows:
 
 def embeddings(seen: PairRows) -> str:
     """Fibonacci and Pell pair chains, and eta-spaced rows in general."""
-    for out in seen.scanner.outcomes:
-        if isinstance(out, locator.LocationFailure):
-            raise SuiteFailure(f"location failure: {out}")
-    outcomes = iter(seen.scanner.outcomes)
+    outcomes = iter(seen.located())
     fib, pell, *families = (list(islice(outcomes, m)) for *_, m in EMBED_CHAINS)
     if [loc.row for loc in fib] != list(range(2, 16)):
         raise SuiteFailure(f"Fibonacci rows: {[loc.row for loc in fib]}")

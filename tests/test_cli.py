@@ -55,6 +55,12 @@ def test_altsum(capsys):
     assert out == "0\n"
 
 
+def test_altsum_json(capsys):
+    code, out, _ = run(capsys, "altsum", "--n", "5", "--json")
+    assert code == 0
+    assert out == '{"n":5,"value":"2"}\n'
+
+
 def test_altsum_weighted_cross_check(capsys):
     code, out, _ = run(
         capsys, "altsum", "--n", "3", "--weights", "2", "3", "--cross-check"

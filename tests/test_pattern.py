@@ -80,6 +80,14 @@ def test_central_value_needs_positive_k():
         check_central_value(0)
 
 
+@pytest.mark.parametrize(
+    "check", [pattern_int, growth_power, check_prefix, check_central_copy]
+)
+def test_row_indices_must_be_nonnegative(check):
+    with pytest.raises(ValueError, match="^row index must be nonnegative$"):
+        check(-1)
+
+
 def test_codes_are_palindromic_with_full_bit_length(rows_q5):
     for row in rows_q5[1:11]:
         bits = pattern_bits(row)

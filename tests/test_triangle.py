@@ -171,6 +171,11 @@ def test_budget_reports_first_offending_row():
     assert exc_info.value.row == 7  # rows sized 2,3,5,10,23,57,146,...
 
 
+def test_a_budget_that_is_not_positive_is_rejected():
+    with pytest.raises(ValueError, match="^cell budget must be positive$"):
+        list(generate_rows(5, 3, cell_budget=0))
+
+
 def test_generate_rows_streams_expected_lengths():
     rows = list(generate_rows(6, 3, cell_budget=10**6))
     assert [len(r) for r in rows] == [1, 2, 3, 6]

@@ -99,17 +99,36 @@ def test_a_reader_raising_in_the_worker_fails_only_three_way(two_cpus, monkeypat
     assert verify.run(ROW_SUITES) == forked
 
 
-def test_a_worker_that_dies_never_yields_a_pass(two_cpus, monkeypatch):
-    # only the worker sends, once, whichever q's it took: it dies before sending
+def test_a_worker_that_dies_never_yields_a_pass(two_cpus, monkeypatch, capsys, expected_details):
+    # only the worker sends, once: it dies before sending
     monkeypatch.setattr(multiprocessing.connection.Connection, "send",
                         lambda self, obj: os._exit(3))
-    monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", 10**4)
-    took = r"which took (no q|q in \[\d+(, \d+)*\])"
-    with pytest.raises(ChildProcessError, match=f"^the row worker, {took}, exited with code 3$"):
-        verify.run(["three-way"])
-    with pytest.raises(ChildProcessError, match="exited with code 3"):
-        main(["verify"])
+    died = "the row worker, which took q in [6, 7, 10], exited with code 3"
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL {name}: {died}" if name == "three-way" else f"PASS {name}: {detail}"
+        for name, detail in expected_details.items()
+    ]
     assert multiprocessing.active_children() == []
+
+
+def test_a_q5_failure_stands_over_a_dead_worker(two_cpus, monkeypatch):
+    original = triangle.row_sums
+
+    def raising(row):
+        if (row.n, len(row)) == (3, 5):  # row 3 of q has q cells
+            raise ArithmeticError("row sums overflow at q=5")
+        return original(row)
+
+    monkeypatch.setattr(verify, "row_sums", raising)
+    monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", 10**4)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send",
+                        lambda self, obj: os._exit(3))
+    forked = verify.run(ROW_SUITES)
+    assert forked[0].detail == "ArithmeticError: row sums overflow at q=5"
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert verify.run(ROW_SUITES) == forked
 
 
 def test_failures_in_both_processes_give_the_serial_result(two_cpus, monkeypatch):
