@@ -20,8 +20,8 @@ from .triangle import (
     BudgetExceeded,
     DEFAULT_CELL_BUDGET,
     generate_rows,
-    nth_row,
     position_sum,
+    read_rows,
     row_counts,
     row_sums,
 )
@@ -65,11 +65,17 @@ def cmd_rows(args, fp) -> int:
     return EXIT_OK
 
 
+def _parts(q: int, n: int, budget: int):
+    """Row n in parts, never stored: counts read its kinds, sums fold its parts."""
+    return (row for row in read_rows(q, n, budget) if row.n == n)
+
+
 def _triple_by_method(kind: str, q: int, n: int, method: str, budget: int):
-    if method == "generate":
-        row = nth_row(q, n, budget)
-        return (row_counts if kind == "counts" else row_sums)(row)
-    return tuple(getattr(sequences, f"{kind}_{method}")(q, n))
+    if method != "generate":
+        return tuple(getattr(sequences, f"{kind}_{method}")(q, n))
+    if kind == "counts":  # the first part holds all the kinds
+        return row_counts(next(_parts(q, n, budget)))
+    return tuple(map(sum, zip(*map(row_sums, _parts(q, n, budget)))))
 
 
 def _verdict(fp, agree: bool) -> int:
@@ -108,7 +114,7 @@ def cmd_altsum(args, fp) -> int:
     else:
         value = sequences.alt_sum(args.n)
     if args.cross_check:
-        direct = position_sum(nth_row(5, args.n, args.budget), v, w)
+        direct = sum(position_sum(row, v, w) for row in _parts(5, args.n, args.budget))
         fp.write(f"formula: {value}\nrow: {direct}\n")
         return _verdict(fp, direct == value)
     if args.json:

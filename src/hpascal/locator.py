@@ -35,6 +35,8 @@ from . import triangle
 from .triangle import (
     DEFAULT_CELL_BUDGET,
     Row,
+    RowPart,
+    completes,
     generate_rows,
     initial_row,
     largest_row_within,
@@ -154,28 +156,42 @@ class PairLocation:
     trace: list[DescentStep]
 
 
-def _scan(half: list[int], size: int, u: int, v: int) -> int | None:
-    """Column of the leftmost (u, v) in the size-cell palindrome with this left half.
+def _scan(pieces: Iterable[tuple[int, list[int]]], size: int, u: int, v: int) -> int | None:
+    """Column of the leftmost (u, v) that pieces (offset, chunk), in order and
+    adjacent, show of the size-cell palindrome whose left half they cover.
 
     A palindrome holds (v, u) at column c exactly when it holds (u, v) at
-    size-2-c.  One hop over the occurrences of u with list.index, so the
-    per-cell work runs in C, finds the leftmost (u, v) inside the half,
-    else the last (v, u) there, whose mirror is the leftmost (u, v) right
-    of the middle pair.
+    size-2-c.  One hop over the occurrences of u in each chunk with
+    list.index, so the per-cell work runs in C, finds the leftmost (u, v)
+    inside the half, else the last (v, u) there, whose mirror is the
+    leftmost (u, v) right of the middle pair.  The pair across two pieces
+    is read from the cell carried over, and the pieces that end the half
+    show the middle pair.  So when pieces that split a half each come with
+    the piece of one cell before them, the least column they give is the
+    half's.
     """
-    middle = len(half) - 1  # column of the pair that straddles the middle
-    last, j = None, -1
-    try:
-        while True:
-            j = half.index(u, j + 1)
-            if j < middle and half[j + 1] == v:
-                return j
-            if j and half[j - 1] == v:
-                last = j - 1
-    except ValueError:
-        pass
-    # the cell right of the half mirrors half[-2] in an odd row, half[-1] in an even one
-    if size > 1 and (half[middle], half[middle - size % 2]) == (u, v):
+    middle = (size + 1) // 2 - 1  # column of the pair that straddles the middle
+    last, tail, end = None, [], 0  # tail: the last two cells read
+    for offset, chunk in pieces:
+        if tail and (tail[-1], chunk[0]) == (u, v):
+            return offset - 1
+        if tail and (tail[-1], chunk[0]) == (v, u):
+            last = offset - 1
+        # a pair at j < stop lies in the chunk and left of the middle pair
+        stop = min(middle - offset, len(chunk) - 1)
+        j = -1
+        try:
+            while True:
+                j = chunk.index(u, j + 1)
+                if j < stop and chunk[j + 1] == v:
+                    return offset + j
+                if j and chunk[j - 1] == v:
+                    last = offset + j - 1
+        except ValueError:
+            pass
+        tail, end = [*tail, *chunk[-2:]][-2:], offset + len(chunk)
+    # the cell right of the half mirrors its second-last cell in an odd row, else its last
+    if size > 1 and end == middle + 1 and (tail[-1], tail[-1 - size % 2]) == (u, v):
         return middle
     return None if last is None else size - 2 - last
 
@@ -184,7 +200,8 @@ class PairScanner:
     """Places a batch of pairs as the q = 5 rows stream past.
 
     Each pair's row comes from its descent trace.  Feed rows in order up
-    to last_row; each row is searched for every pair predicted in it.
+    to last_row, a row read in parts part by part; each row is searched
+    for every pair predicted in it.
     outcomes[i] is then the PairLocation of the i-th pair, or the
     LocationFailure of a pair missing from its fully scanned row.  Pairs
     whose row exceeds the budget are UNVERIFIED from the start; a budget
@@ -196,6 +213,8 @@ class PairScanner:
     ) -> None:
         self.outcomes: list[PairLocation | LocationFailure | None] = []
         self._waiting: dict[int, list[tuple]] = {}  # row -> (index, u, v, trace)
+        self._cols: dict[int, int] = {}  # index -> least column in the parts read
+        self._before: list[tuple[int, list[int]]] = []  # the last cell of the part before
         in_budget = largest_row_within(5, cell_budget)
         for i, (u, v) in enumerate(pairs):
             if u < 1 or v < 1:
@@ -211,9 +230,24 @@ class PairScanner:
                 self._waiting.setdefault(row_index, []).append((i, u, v, trace))
         self.last_row = max(self._waiting, default=-1)
 
-    def feed(self, row: Row) -> None:
+    def feed(self, row: Row | RowPart) -> None:
+        """Scan row, or the next part of it, for every pair predicted in it."""
+        if row.n not in self._waiting:
+            return
+        size, pieces = len(row), [*self._before, *row.pieces]
+        middle = (size + 1) // 2 - 1
+        for i, u, v, _ in self._waiting[row.n]:
+            if self._cols.get(i, size) >= middle:  # a column left of the middle is final
+                col = _scan(pieces, size, u, v)
+                if col is not None:
+                    self._cols[i] = min(col, self._cols.get(i, col))
+        offset, chunk = row.pieces[-1]
+        self._before = [(offset + len(chunk) - 1, chunk[-1:])]
+        if not completes(row):
+            return
+        self._before = []
         for i, u, v, trace in self._waiting.pop(row.n, ()):
-            col = _scan(row.half, len(row), u, v)
+            col = self._cols.pop(i, None)
             if col is None:
                 self.outcomes[i] = LocationFailure(u, v, row.n)
                 continue

@@ -25,7 +25,7 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .quadfield import QuadElem
-from .triangle import Row, _check_q, _coupled_counts, part_sums
+from .triangle import Row, RowPart, _check_q, _coupled_counts, part_sums
 
 
 class DegenerateDiscriminant(ValueError):
@@ -174,8 +174,9 @@ def alt_sum(n: int) -> int:
     return 2
 
 
-def alt_triple_from_row(row: Row) -> AltTriple:
-    """The AltTriple of a row of any q: triangle.part_sums at weights 1 and -1."""
+def alt_triple_from_row(row: Row | RowPart) -> AltTriple:
+    """The AltTriple of a row of any q, or of a part of one: triangle.part_sums
+    at weights 1 and -1."""
     return AltTriple(*part_sums(row, 1, -1))
 
 
@@ -193,10 +194,13 @@ def weighted_sum(n: int, v: int, w: int) -> int:
     """Row sum with weight v on even positions and w on odd ones (q = 5).
 
     Equals (s^ + s~)/2 * v + (s^ - s~)/2 * w where s^ is the plain row
-    sum and s~ the alternating one; both halves are integers.
+    sum and s~ the alternating one; both halves are integers.  Row 0 is
+    one cell of value 1, in an even column.
     """
-    if n < 1:
-        raise ValueError("row index must be at least 1")
+    if n < 0:
+        raise ValueError("row index must be nonnegative")
+    if n == 0:
+        return v
     total = next(islice(_sum_streams(5)[2], n - 1, None))
     alt = alt_sum(n)
     if (total + alt) % 2:

@@ -18,12 +18,14 @@ Pascal's triangle exactly.
 Rows are palindromes, by induction: a child reads 1, C0 M01, C1 M12, ...,
 M(m-2,m-1), 1, each copy block Ci of identical cells, so reversing a
 palindrome's child gives the same child.  A row therefore stores only its
-left half, cells 0..ceil(L/2)-1, with the full string of kinds; next_row
+left half, cells 0..ceil(L/2)-1, with the full string of kinds; child_half
 builds a child's half from its parent's half, and every reader reads it.
 
 Rows are immutable once produced; generation is strictly streaming
 (row n+1 is built from row n only), and row sizes grow geometrically,
-so a cell budget guards every generating entry point.
+so a cell budget guards every generating entry point.  A stream's last
+row is most of its cells and never a parent, so read_rows never stores
+it: it comes as RowParts, which the readers of a Row read alike.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ TYPE_A = "A"
 TYPE_B = "B"
 
 DEFAULT_CELL_BUDGET = 10**7
+CHUNK = 1 << 16  # cells of its left half in each part of a stream's last row
 
 # per kind, a bytes.translate table taking that kind to 1 and the others to 0
 _KIND_TABLES = {k: bytes.maketrans(b"WAB", bytes(c == k for c in "WAB")) for k in "WAB"}
@@ -82,6 +85,11 @@ class Row:
         return len(self.kinds)
 
     @property
+    def pieces(self) -> tuple[tuple[int, list[int]], ...]:
+        """The half as (offset, chunk) pieces: one piece, at offset 0."""
+        return ((0, self.half),)
+
+    @property
     def values(self) -> list[int]:
         """Every cell's value, a full copy built on each access: for small rows only."""
         return self.half + self.half[: len(self) // 2][::-1]
@@ -91,6 +99,24 @@ class Row:
         if not 0 <= k < size:
             raise IndexError(f"row {self.n} has no cell {k}")
         return Cell(self.half[min(k, size - 1 - k)], self.kinds[k])
+
+
+class RowPart:
+    """Adjacent pieces (offset, chunk) of row n's left half, with all its kinds."""
+
+    __slots__ = ("n", "kinds", "pieces")  # a plain class: a dataclass is slow to import
+
+    def __init__(self, n: int, kinds: str, pieces: tuple[tuple[int, list[int]], ...]):
+        self.n, self.kinds, self.pieces = n, kinds, pieces
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+
+def completes(row: Row | RowPart) -> bool:
+    """Whether row's last piece ends its half: no part of it follows."""
+    offset, chunk = row.pieces[-1]
+    return offset + len(chunk) == (len(row) + 1) // 2
 
 
 def _check_q(q: int) -> None:
@@ -131,8 +157,9 @@ def _slot_word(kinds: str, q: int) -> bytes:
     return word
 
 
-def next_row(row: Row, q: int) -> Row:
-    """The child of row, a palindrome as row is, built as its left half.
+def child_half(row: Row, q: int) -> tuple[str, Iterator[int]]:
+    """The kinds of row's child, a palindrome as row is, and an iterator that
+    builds the values of the child's left half.
 
     The child's half reads cells 0..ceil(m/2) of an m-cell parent: its half
     and cell ceil(m/2).  That cell is half[-1] when m is even; when m is odd
@@ -147,9 +174,14 @@ def next_row(row: Row, q: int) -> Row:
     copies = [chain(half, extra) for _ in range(q - 3)]
     merges = map(add, chain(half, extra), chain(islice(half, 1, None), extra))
     slots = chain((1,), chain.from_iterable(zip(*copies, merges)))
-    size = (len(kinds) + 1) // 2
-    # the half claims its length, so the list is allocated once, at size
-    return Row(row.n + 1, list(_Sized(islice(compress(slots, word), size), size)), kinds)
+    return kinds, islice(compress(slots, word), (len(kinds) + 1) // 2)
+
+
+def next_row(row: Row, q: int) -> Row:
+    """The child of row, stored as its left half."""
+    kinds, cells = child_half(row, q)
+    # the half claims its length, so the list is allocated once, at its size
+    return Row(row.n + 1, list(_Sized(cells, (len(kinds) + 1) // 2)), kinds)
 
 
 def _coupled_counts(q: int) -> Iterator[tuple[int, int]]:
@@ -193,6 +225,26 @@ def generate_rows(
         yield row
 
 
+def read_rows(
+    q: int, n_max: int, cell_budget: int = DEFAULT_CELL_BUDGET
+) -> Iterator[Row | RowPart]:
+    """Rows 0..n_max-1 as generate_rows streams them, then row n_max, never
+    stored: a RowPart per CHUNK cells of its half, each built as it is read.
+    As in generate_rows, BudgetExceeded comes before an over-budget row is built.
+    """
+    if n_max < 1:  # row 0 is one cell
+        yield from generate_rows(q, n_max, cell_budget)
+        return
+    for parent in generate_rows(q, n_max - 1, cell_budget):
+        yield parent
+    a, b = next(islice(_coupled_counts(q), n_max - 1, None))
+    if a + b + 2 > cell_budget:
+        raise BudgetExceeded(n_max, a + b + 2)
+    kinds, cells = child_half(parent, q)
+    for offset in range(0, (len(kinds) + 1) // 2, CHUNK):
+        yield RowPart(n_max, kinds, ((offset, list(islice(cells, CHUNK))),))
+
+
 def nth_row(q: int, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> Row:
     """Row n alone, generated streaming (only two rows held at a time)."""
     for row in generate_rows(q, n, cell_budget):
@@ -200,7 +252,7 @@ def nth_row(q: int, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> Row:
     return row
 
 
-def row_counts(row: Row) -> tuple[int, int, int]:
+def row_counts(row: Row | RowPart) -> tuple[int, int, int]:
     """(#kind-A, #kind-B, total) cells of a row with index >= 1."""
     if row.n < 1:
         raise ValueError("row 0 has no winger pair; counts start at row 1")
@@ -209,53 +261,65 @@ def row_counts(row: Row) -> tuple[int, int, int]:
     return a, b, len(row)
 
 
-def position_sum(row: Row, even: int = 1, odd: int = 1, kind: str | None = None) -> int:
+def position_sum(
+    row: Row | RowPart, even: int = 1, odd: int = 1, kind: str | None = None
+) -> int:
     """Sum of even * value over the even columns and odd * value over the odd
     ones, over the cells of this kind only when one is given.
 
-    Read from the left half: cells k and L-1-k share value and kind, and a
-    column parity exactly when L is odd.  An odd row is twice its weighted
-    half plus its weighted middle cell; in an even row each mirrored pair
-    weighs even + odd.
+    Read from the left half's pieces: cells k and L-1-k share value and
+    kind, and a column parity exactly when L is odd.  In an even row each
+    mirrored pair weighs even + odd; in an odd row the cells left of the
+    middle weigh twice their column's weight and the middle cell once.
+    So the sums over a row's parts add up to the row's.
     """
-    half, (h, odd_row) = row.half, divmod(len(row), 2)
-    mask = kind and row.kinds[:h].encode("ascii").translate(_KIND_TABLES[kind])
+    h, odd_row = divmod(len(row), 2)
+    total = 0
+    for offset, chunk in row.pieces:
+        end = offset + len(chunk)
+        mask = kind and row.kinds[offset:end].encode("ascii").translate(_KIND_TABLES[kind])
 
-    def fold(start: int, step: int) -> int:  # half[start:h:step], of the kind if given
-        # compress stops where the h-byte mask does, so a whole half goes in unwrapped
-        cells = half if mask is not None and step == 1 else islice(half, start, h, step)
-        return sum(cells if mask is None else compress(cells, mask[start::step]))
+        def fold(start: int = 0, step: int = 1) -> int:  # chunk[start::step], of the kind
+            cells = chunk if step == 1 else islice(chunk, start, None, step)
+            return sum(cells if mask is None else compress(cells, mask[start::step]))
 
-    if not odd_row:
-        return (even + odd) * fold(0, 1)
-    mid = half[h] * (odd if h % 2 else even) if kind in (None, row.kinds[h]) else 0
-    if even == odd:
-        return 2 * even * fold(0, 1) + mid
-    return 2 * (even * fold(0, 2) + odd * fold(1, 2)) + mid
+        if not odd_row:
+            total += (even + odd) * fold()
+        elif even == odd:
+            total += 2 * even * fold()
+        else:  # column offset + i is even for i of offset's parity
+            total += 2 * (even * fold(offset % 2, 2) + odd * fold(1 - offset % 2, 2))
+        if odd_row and end == h + 1 and kind in (None, row.kinds[h]):
+            total -= chunk[-1] * (odd if h % 2 else even)  # the middle cell weighs once
+    return total
 
 
-def part_sums(row: Row, even: int = 1, odd: int = 1) -> tuple[int, int, int]:
+def part_sums(row: Row | RowPart, even: int = 1, odd: int = 1) -> tuple[int, int, int]:
     """position_sum(row, even, odd) over kind A, over kind B and over the whole
     row; B is the total less A and the wingers, the cells of value 1 in
     columns 0 and L-1 (row 0's one cell is its only winger)."""
     size = len(row)
     wingers = even if size == 1 else even + (even if size % 2 else odd)
+    if row.pieces[0][0]:  # only the piece at offset 0 holds the wingers
+        wingers = 0
     a, total = position_sum(row, even, odd, TYPE_A), position_sum(row, even, odd)
     return a, total - a - wingers, total
 
 
-def row_sums(row: Row) -> tuple[int, int, int]:
+def row_sums(row: Row | RowPart) -> tuple[int, int, int]:
     """(sum over kind-A, sum over kind-B, total sum) of a row with index >= 1."""
     if row.n < 1:
         raise ValueError("row 0 has no winger pair; sums start at row 1")
     return part_sums(row)
 
 
-def central_cell(row: Row) -> Cell:
+def central_cell(row: Row | RowPart) -> Cell:
+    """The middle cell of an odd row, the last of its half: read from its last part."""
     m = len(row)
     if m % 2 == 0:
         raise NoCentralCell(f"row {row.n} has {m} cells")
-    return row.cell(m // 2)
+    offset, chunk = row.pieces[-1]
+    return Cell(chunk[m // 2 - offset], row.kinds[m // 2])
 
 
 def child_edges(kinds: str, q: int) -> Iterator[tuple[int, int]]:

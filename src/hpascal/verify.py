@@ -9,12 +9,15 @@ The suites that read generated rows (the keys of ROW_READERS) each take
 a row reader that keeps small per-row results, never rows.  A suite runs
 through `run([name])`, which streams only that suite's rows; `run` builds
 every row the named suites read once and hands it to each reader that
-reads it.  The calling process streams q = 5 while one forked worker
+reads it.  The last row of each q, most of its cells, is never stored:
+triangle.read_rows hands it out in parts, each read by every reader and
+dropped.  The calling process streams q = 5 while one forked worker
 streams the larger q's; while the worker finishes, the caller runs the
 suites that read no rows or only q = 5 rows, so only the suites that
 read the worker's rows run after the merge; if the worker dies, those
-suites fail.  The suites that read closed forms share one table per
-run, so each closed form is evaluated once.
+suites fail, as does a suite whose reader a malformed row breaks.  The
+suites that read closed forms share one table per run, so each closed
+form is evaluated once.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice, zip_longest
+from operator import add
 from typing import Callable, Iterable
 
 from . import linrec, locator, pattern, sequences
@@ -33,11 +37,15 @@ from .quadfield import NotIntegralError, NotRationalError
 from .triangle import (
     DEFAULT_CELL_BUDGET,
     Cell,
+    NoCentralCell,
     Row,
+    RowPart,
     binomial_row,
     central_cell,
+    completes,
     generate_rows,
     largest_row_within,
+    read_rows,
     row_counts,
     row_sums,
 )
@@ -80,30 +88,44 @@ CHECK_FAILURES = (
 )
 
 
+# what a reader raises on a malformed row: a failed check, or no middle cell
+READ_FAILURES = (*CHECK_FAILURES, NoCentralCell)
+
+
 class RowReader:
     """What one suite keeps of the rows it reads, never a row.
 
-    stream() calls feed(q, row) once for each row 0..last[q] of each q,
-    in order; feed keeps keep(row) in kept[q, n].  The first check
-    failure keep raises is kept in error, for run to fail the suite
+    stream() calls feed(q, row) for each row 0..last[q] of each q, in
+    order, a stream's last row as RowParts in order.  At a row's last part
+    feed keeps keep(row, folded) in kept[q, n], folded being the sum over
+    the row's parts of fold, a read that adds over them.  The first
+    failure a read raises is kept in error, for run to fail the suite
     with, and nothing more is kept.
     """
 
-    def __init__(self, last: dict[int, int], keep: Callable[[Row], object]) -> None:
-        self.last, self.keep, self.kept = last, keep, {}
+    def __init__(self, last: dict[int, int], keep: Callable, fold: Callable | None = None):
+        self.last, self.keep, self.fold, self.kept = last, keep, fold, {}
+        self.folded = None
         self.error: Exception | None = None
 
-    def feed(self, q: int, row: Row) -> None:
+    def feed(self, q: int, row: Row | RowPart) -> None:
         if self.error is None:
             try:
-                self.kept[q, row.n] = self.keep(row)
-            except CHECK_FAILURES as exc:
+                self.read(q, row)
+            except READ_FAILURES as exc:
                 self.error = exc
+
+    def read(self, q: int, row: Row | RowPart) -> None:
+        if self.fold:
+            part = self.fold(row)
+            self.folded = tuple(map(add, self.folded, part)) if row.pieces[0][0] else part
+        if completes(row):
+            self.kept[q, row.n] = self.keep(row, self.folded)
 
 
 def _stream(readers: list[RowReader], qs: list[int]) -> list[tuple]:
     for q in qs:
-        for row in generate_rows(q, max(r.last.get(q, -1) for r in readers)):
+        for row in read_rows(q, max(r.last.get(q, -1) for r in readers)):
             for r in readers:
                 if row.n <= r.last.get(q, -1):
                     r.feed(q, row)
@@ -174,7 +196,8 @@ def _count_and_sum_rows() -> RowReader:
     """Counts and sums of each agreement q's rows inside the default budget."""
     last = {q: largest_row_within(q, DEFAULT_CELL_BUDGET) for q in AGREEMENT_QS}
     # row 0 has no winger pair, so no counts or sums
-    return RowReader(last, lambda row: row.n and (row_counts(row), row_sums(row)))
+    return RowReader(last, lambda row, sums: row.n and (row_counts(row), sums),
+                     lambda row: row.n and row_sums(row))
 
 
 class ClosedForms:
@@ -219,7 +242,8 @@ def three_way_agreement(seen: RowReader, closed: ClosedForms) -> str:
 
 
 def _signed_subsum_rows() -> RowReader:
-    return RowReader({5: 17}, sequences.alt_triple_from_row)
+    return RowReader({5: 17}, lambda row, triple: sequences.AltTriple(*triple),
+                     sequences.alt_triple_from_row)
 
 
 def alternating_sums(seen: RowReader) -> str:
@@ -247,7 +271,8 @@ def alternating_sums(seen: RowReader) -> str:
 
 
 def _row_lengths() -> RowReader:
-    return RowReader({5: largest_row_within(5, DEFAULT_CELL_BUDGET)}, len)
+    last = {5: largest_row_within(5, DEFAULT_CELL_BUDGET)}
+    return RowReader(last, lambda row, _: len(row))
 
 
 def parity(seen: RowReader) -> str:
@@ -264,7 +289,7 @@ def parity(seen: RowReader) -> str:
 def _pattern_rows() -> RowReader:
     """Bit strings of q = 5 rows 0..16, central cells of rows 3k up to 18."""
 
-    def keep(row: Row) -> tuple[str | None, Cell | None]:
+    def keep(row: Row | RowPart, _) -> tuple[str | None, Cell | None]:
         bits = pattern.pattern_bits(row) if row.n <= 16 else None
         return bits, central_cell(row) if row.n % 3 == 0 else None
 
@@ -306,7 +331,10 @@ class PairRows(RowReader):
 
     def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
         self.scanner = locator.PairScanner(pairs)
-        super().__init__({5: self.scanner.last_row}, self.scanner.feed)
+        super().__init__({5: self.scanner.last_row}, keep=None)
+
+    def read(self, q: int, row: Row | RowPart) -> None:  # the scanner places; none kept
+        self.scanner.feed(row)
 
     def located(self) -> list[locator.PairLocation]:
         """Every pair's PairLocation, once no pair is missing from its row."""
@@ -484,7 +512,7 @@ def run(names: Iterable[str] | None = None) -> list[CheckResult]:
             passed, detail = True, SUITES[name](*args)
         except SuiteFailure as exc:
             passed, detail = False, str(exc)
-        except CHECK_FAILURES as exc:
+        except READ_FAILURES as exc:
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         return CheckResult(name, passed, detail)
 

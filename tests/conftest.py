@@ -23,7 +23,7 @@ def locator_rows(monkeypatch):
 
 
 class BuiltRows:
-    """(q, n) of each row next_row builds, in order, here or in a forked process.
+    """(q, n) of each row triangle.child_half builds, in order, here or in a forked process.
 
     Each build appends a line "pid q n" to a file, so a forked worker's
     builds are seen too.  Compares equal to the list of its (q, n).
@@ -55,16 +55,20 @@ class BuiltRows:
 
 @pytest.fixture
 def built_rows(monkeypatch, locator_rows, tmp_path):
-    """The rows next_row builds while the test runs, from an empty locator memo."""
+    """The rows built while the test runs, from an empty locator memo.
+
+    Every row is built by triangle.child_half: a kept row through next_row,
+    the last row of a stream part by part through read_rows.
+    """
     built = BuiltRows(tmp_path / "built_rows")
-    original = triangle.next_row
+    original = triangle.child_half
 
     def counting(row, q):
         with open(built.path, "a", encoding="utf-8") as fp:
             fp.write(f"{os.getpid()} {q} {row.n + 1}\n")
         return original(row, q)
 
-    monkeypatch.setattr(triangle, "next_row", counting)
+    monkeypatch.setattr(triangle, "child_half", counting)
     return built
 
 

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from hpascal import sequences, verify
+from hpascal import sequences, triangle, verify
 from hpascal.cli import main
 from hpascal.pattern import pattern_bits
 from hpascal.quadfield import NotIntegralError, NotRationalError
@@ -68,6 +68,46 @@ def test_altsum_weighted_cross_check(capsys):
     assert code == 0
     assert "formula: 26" in out
     assert "cross-check: OK" in out
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("--weights", "1", "-1"), "1\n"),
+    (("--weights", "3", "-7"), "3\n"),  # row 0 is one cell of value 1, in an even column
+    (("--cross-check",), "formula: 1\nrow: 1\ncross-check: OK\n"),
+    (("--weights", "3", "-7", "--cross-check"), "formula: 3\nrow: 3\ncross-check: OK\n"),
+])
+def test_altsum_of_row_0(capsys, argv, out):
+    assert run(capsys, "altsum", "--n", "0", *argv) == (0, out, "")
+
+
+def wrong_cell_in_row(monkeypatch, q, n, k):
+    """Have the shared builder give cell k of row n's half one too large."""
+    original = triangle.child_half
+
+    def faulty(row, q_):
+        kinds, cells = original(row, q_)
+        if (q_, row.n + 1) == (q, n):
+            cells = (value + (j == k) for j, value in enumerate(cells))
+        return kinds, cells
+
+    monkeypatch.setattr(triangle, "child_half", faulty)
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("sums", "--q", "5", "--n", "6", "--cross-check"),
+     "coupled: sumA=194 sumB=134 sum=330\n"
+     "ternary: sumA=194 sumB=134 sum=330\n"
+     "closed: sumA=194 sumB=134 sum=330\n"
+     "generate: sumA=194 sumB=136 sum=332\n"  # cell 20 and its mirror 36 are kind B
+     "cross-check: MISMATCH\n"),
+    # columns 20 and 36 are even
+    (("altsum", "--n", "6", "--cross-check"), "formula: 2\nrow: 4\ncross-check: MISMATCH\n"),
+])
+def test_a_wrong_cell_in_the_folded_row_is_a_mismatch(capsys, monkeypatch, argv, out):
+    # row 6 of q = 5 is read in parts of 4 cells: cell 20 is in the sixth
+    monkeypatch.setattr(triangle, "CHUNK", 4)
+    wrong_cell_in_row(monkeypatch, 5, 6, 20)
+    assert run(capsys, *argv) == (1, out, "")
 
 
 def test_rows_csv(capsys):

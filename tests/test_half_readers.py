@@ -1,9 +1,10 @@
 """position_sum, and part_sums, row_sums and alt_triple_from_row through it,
-read a row's left half and middle cell.
+read a row's left half and middle cell; so do locator._scan and
+central_cell.
 
 Each takes a row from next_row, a palindrome, and reads only its left half
-plus the middle cell of an odd row.  The references below read every
-cell.
+plus the middle cell of an odd row, as one piece or as many.  The
+references below read every cell.
 """
 
 import random
@@ -11,11 +12,14 @@ import tracemalloc
 
 import pytest
 
+from hpascal.locator import _scan
 from hpascal.sequences import AltTriple, alt_triple_from_row
 from hpascal.triangle import (
     TYPE_A,
     TYPE_B,
     WINGER,
+    RowPart,
+    central_cell,
     generate_rows,
     largest_row_within,
     nth_row,
@@ -102,3 +106,74 @@ def test_readers_transient_peak_per_cell(reader, bound):
     finally:
         tracemalloc.stop()
     assert (peak - held) / len(row) < bound
+
+
+def splits(row):
+    """The row's half cut into pieces (offset, chunk) of 1, 2 and 3 cells, into
+    one piece, and into two pieces the second of which is the last cell alone:
+    the middle cell of an odd row."""
+    half = row.half
+    cuts = [[(k, half[k:k + size]) for k in range(0, len(half), size)]
+            for size in (1, 2, 3, len(half))]
+    if len(half) > 1:
+        cuts.append([(0, half[:-1]), (len(half) - 1, half[-1:])])
+    return cuts
+
+
+def test_the_splits_put_the_last_cell_in_a_chunk_of_its_own(swept_rows):
+    # in odd and even rows, at each chunk size: in an odd row the last cell is the middle one
+    ends = {(size, len(row) % 2) for _, row in swept_rows for size in (2, 3)
+            if len(row.half) % size == 1}
+    assert ends == {(2, 0), (2, 1), (3, 0), (3, 1)}
+
+
+def test_part_sums_over_any_split_match_the_full_row_reference(swept_rows):
+    for q, row in swept_rows:
+        for even, odd in seeded_weights():
+            want = part_sums_reference(row, even, odd)
+            for pieces in splits(row):
+                assert part_sums(RowPart(row.n, row.kinds, tuple(pieces)), even, odd) == want, (
+                    q, row.n, even, odd, len(pieces))
+                # the sums over parts of one piece each add up to the row's
+                parts = [part_sums(RowPart(row.n, row.kinds, (piece,)), even, odd)
+                         for piece in pieces]
+                assert tuple(map(sum, zip(*parts))) == want, (q, row.n, even, odd, len(pieces))
+
+
+def test_the_middle_cell_comes_from_the_last_part(swept_rows):
+    for q, row in swept_rows:
+        if len(row) % 2:
+            for pieces in splits(row):
+                last = RowPart(row.n, row.kinds, tuple(pieces[-1:]))
+                assert central_cell(last) == row.cell(len(row) // 2), (q, row.n, len(pieces))
+
+
+def windows(pieces):
+    """Each piece after a piece of the one cell before it, as PairScanner reads the parts of a row."""
+    before = []
+    for offset, chunk in pieces:
+        yield [*before, (offset, chunk)]
+        before = [(offset + len(chunk) - 1, chunk[-1:])]
+
+
+def scan_reference(values, u, v):
+    return next((j for j in range(len(values) - 1) if (values[j], values[j + 1]) == (u, v)), None)
+
+
+def test_scans_over_any_split_match_the_full_row_reference(swept_rows):
+    # every adjacent pair of every row, and a few absent ones; splits into
+    # more than 200 pieces are left out, as they cost a pass over the
+    # pieces per pair
+    for q, row in swept_rows:
+        values = row.values
+        pairs = set(zip(values, values[1:]))  # a palindrome's pairs come both ways round
+        probes = {*pairs, *((u, v + 1) for u, v in sorted(pairs)[:10])}
+        for pieces in splits(row):
+            if len(pieces) > 200:
+                continue
+            for u, v in probes:
+                want = scan_reference(values, u, v)
+                assert _scan(pieces, len(row), u, v) == want, (q, row.n, u, v, len(pieces))
+                # one part at a time, each after the cell before it: the least column
+                cols = [_scan(w, len(row), u, v) for w in windows(pieces)]
+                assert min((c for c in cols if c is not None), default=None) == want, (q, row.n, u, v)

@@ -11,6 +11,7 @@ from hpascal.locator import (
     FULL_ROW,
     UNVERIFIED,
     LocationFailure,
+    PairScanner,
     _scan,
     descent_trace,
     embed_recurrence,
@@ -19,7 +20,7 @@ from hpascal.locator import (
     locate_pairs,
     locate_row,
 )
-from hpascal.triangle import nth_row
+from hpascal.triangle import RowPart, nth_row
 
 
 REVERSED = "reversed"  # the reference scans' marker for a hit on (v, u)
@@ -159,17 +160,17 @@ def test_descent_trace_sums_to_locate_row_up_to_60():
 
 
 def test_scan_matches_reference_including_mirror_hits():
-    # _scan reads a palindrome's left half; a hit right of the middle is the
-    # mirror of a reversed pair inside the half
+    # _scan reads a palindrome's left half, here as one piece; a hit right
+    # of the middle is the mirror of a reversed pair inside the half
     rng = random.Random(5)
     for _ in range(500):
         half = [rng.randint(1, 4) for _ in range(rng.randint(1, 7))]
         size = 2 * len(half) - rng.randint(0, 1)
         values = half + half[: size // 2][::-1]
         u, v = rng.randint(1, 5), rng.randint(1, 5)
-        assert _scan(half, size, u, v) == reference_column(reference_scan(values, u, v)), (
+        assert _scan([(0, half)], size, u, v) == reference_column(reference_scan(values, u, v)), (
             values, u, v)
-    assert _scan([3, 1, 2, 4], 8, 2, 1) == 5  # in 3 1 2 4 4 2 1 3
+    assert _scan([(0, [3, 1, 2, 4])], 8, 2, 1) == 5  # in 3 1 2 4 4 2 1 3
 
 
 def scan_reference(values, u, v):
@@ -199,10 +200,24 @@ def test_half_scan_matches_the_full_row_scan_on_q5_rows(rows_q5):
         probes = {*pairs, *((v, u) for u, v in pairs), *((u, u) for u, _ in pairs),
                   *((u, v + 1) for u, v in pairs)}
         for u, v in probes:
-            col = _scan(row.half, len(row), u, v)
+            col = _scan(row.pieces, len(row), u, v)
             assert col == reference_column(scan_reference(values, u, v)), (row.n, u, v)
             if col is not None:
                 assert (values[col], values[col + 1]) == (u, v)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 50])
+def test_rows_fed_in_parts_place_pairs_as_whole_rows(rows_q5, size):
+    # parts of one to three cells put most pairs across a boundary between parts
+    pairs = [(u, v) for u in range(1, 13) for v in range(1, 13)
+             if locate_row(min(u, v), max(u, v)) <= 12]
+    whole, parted = PairScanner(pairs), PairScanner(pairs)
+    for row in rows_q5[: whole.last_row + 1]:
+        whole.feed(row)
+        for k in range(0, len(row.half), size):
+            parted.feed(RowPart(row.n, row.kinds, ((k, row.half[k:k + size]),)))
+    assert all(out.verified == FULL_ROW for out in whole.outcomes)
+    assert parted.outcomes == whole.outcomes
 
 
 def test_locate_pairs_agrees_with_per_pair_scans():

@@ -67,6 +67,33 @@ def test_python_dash_m_hpascal_runs_the_cli(args, code, stdout, stderr):
     assert (done.returncode, done.stdout, done.stderr) == (code, stdout, stderr)
 
 
+# runs argv[1:] as its only child, then prints its exit code and the peak RSS
+# of it and its descendants (kB on Linux), so no other process's peak counts
+CHILD_PEAK = """import resource, subprocess, sys
+code = subprocess.run(sys.argv[1:], capture_output=True).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+@pytest.mark.parametrize("args", [
+    ["verify"],
+    ["sums", "--q", "6", "--n", "14", "--method", "generate"],
+], ids=lambda args: args[0])
+def test_one_shot_commands_peak_under_62_mb(args):
+    # the last row of a stream is read in parts and never stored: storing it,
+    # these peaked at 74.9 MB (verify, caller or forked worker) and 76.7 MB
+    src = Path(hpascal.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD_PEAK, sys.executable, "-m", "hpascal", *args],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    code, peak_kb = map(int, done.stdout.split())
+    assert code == 0
+    assert peak_kb / 1024 < 62
+
+
 def attribute_reads(attr):
     """(module file, enclosing def or class path) of each uncalled `.attr` in the package."""
     found = set()

@@ -189,6 +189,6 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         sums_ternary(5, -2)
     with pytest.raises(ValueError):
-        weighted_sum(0, 1, 1)
+        weighted_sum(-1, 1, 1)
     with pytest.raises(ValueError):
         parity_s(0)

@@ -5,6 +5,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+from itertools import islice
 
 import pytest
 
@@ -391,3 +392,91 @@ def test_a_raising_row_reader_fails_only_its_suite(monkeypatch, capsys, built_ro
         "FAIL alternating: ArithmeticError: signed sums overflow at row 5\n"
         f"PASS elimination: {detail}\n"
     )
+
+
+def one_wrong_cell(monkeypatch, at):
+    """Have the shared builder give row at = (q, n) one cell of its half one too large."""
+    original = triangle.child_half
+
+    def faulty(row, q):
+        kinds, cells = original(row, q)
+        if (q, row.n + 1) == at:
+            cells = (value + (k == 150) for k, value in enumerate(cells))
+        return kinds, cells
+
+    monkeypatch.setattr(triangle, "child_half", faulty)
+
+
+@pytest.mark.parametrize("at, in_worker", [((7, 7), True), ((5, 11), False)])
+def test_three_way_fails_on_one_wrong_cell_of_a_top_row(
+    two_cpus, monkeypatch, built_rows, at, in_worker
+):
+    # rows 7 and 11 are the last that q = 7 and q = 5 read within 10^4 cells;
+    # read in parts of 64 cells, cell 150 is in the third part
+    monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", 10**4)
+    monkeypatch.setattr(triangle, "CHUNK", 64)
+    one_wrong_cell(monkeypatch, at)
+    (result,) = verify.run(["three-way"])
+    q, n = at
+    assert (result.passed, result.detail) == (False, f"generated sums mismatch at q={q} n={n}")
+    (builder,) = [pid for pid, *built in built_rows.log() if tuple(built) == at]
+    assert (builder != os.getpid()) == in_worker
+    assert n == max(m for q_, m in built_rows if q_ == q)  # the top row of its q
+
+
+def test_every_suite_reads_the_top_rows_in_small_parts_alike(two_cpus, monkeypatch, expected_details):
+    monkeypatch.setattr(triangle, "CHUNK", 1000)
+    assert [(r.name, r.passed, r.detail) for r in verify.run()] == [
+        (name, True, detail) for name, detail in expected_details.items()
+    ]
+
+
+def test_a_row_with_no_middle_cell_fails_pattern_and_the_run_goes_on(
+    two_cpus, monkeypatch, capsys, expected_details
+):
+    # one kind A made B in q = 5 row 16 gives row 18 an even length, so
+    # the pattern reader finds no central cell there
+    original = triangle.child_half
+
+    def one_wrong_kind(row, q):
+        kinds, cells = original(row, q)
+        if (q, row.n + 1) == (5, 16):
+            k = kinds.index("A", len(kinds) // 3)
+            kinds = kinds[:k] + "B" + kinds[k + 1:]
+        return kinds, cells
+
+    monkeypatch.setattr(triangle, "child_half", one_wrong_kind)
+    failing = {
+        "three-way": "generated counts mismatch at q=5 n=16",
+        "alternating": "alternating sum of generated row 17",
+        "parity": "generated row length parity at n=17",
+        "pattern": "NoCentralCell: row 18 has 5702892 cells",
+    }
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out == "".join(
+        f"FAIL {name}: {failing[name]}\n" if name in failing else f"PASS {name}: {detail}\n"
+        for name, detail in expected_details.items()
+    )
+    assert multiprocessing.active_children() == []
+
+
+def test_the_top_row_is_checked_against_the_budget_before_it_is_built(built_rows):
+    rows = triangle.read_rows(5, 6, cell_budget=56)  # row 6 has 57 cells
+    assert [row.n for row in islice(rows, 6)] == [0, 1, 2, 3, 4, 5]
+    with pytest.raises(triangle.BudgetExceeded) as caught:
+        next(rows)
+    assert (caught.value.row, caught.value.size) == (6, 57)
+    assert built_rows == [(5, n) for n in range(1, 6)]
+
+
+def test_the_top_row_comes_in_parts_that_cover_its_half(monkeypatch):
+    monkeypatch.setattr(triangle, "CHUNK", 10)
+    *kept, = triangle.read_rows(6, 5)
+    whole = triangle.nth_row(6, 5)
+    parts = [row for row in kept if isinstance(row, triangle.RowPart)]
+    assert [row.n for row in kept] == [0, 1, 2, 3, 4] + [5] * len(parts)
+    assert all(row.kinds == whole.kinds for row in parts)
+    assert [piece for row in parts for piece in row.pieces] == [
+        (k, whole.half[k:k + 10]) for k in range(0, len(whole.half), 10)
+    ]
+    assert [triangle.completes(row) for row in parts] == [False] * (len(parts) - 1) + [True]
