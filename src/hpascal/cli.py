@@ -20,9 +20,10 @@ from .triangle import (
     BudgetExceeded,
     DEFAULT_CELL_BUDGET,
     generate_rows,
+    kind_counts,
     position_sum,
     read_rows,
-    row_counts,
+    row_kinds,
     row_sums,
 )
 
@@ -66,15 +67,15 @@ def cmd_rows(args, fp) -> int:
 
 
 def _parts(q: int, n: int, budget: int):
-    """Row n in parts, never stored: counts read its kinds, sums fold its parts."""
+    """Row n in parts, never stored: sums fold its parts."""
     return (row for row in read_rows(q, n, budget) if row.n == n)
 
 
 def _triple_by_method(kind: str, q: int, n: int, method: str, budget: int):
     if method != "generate":
         return tuple(getattr(sequences, f"{kind}_{method}")(q, n))
-    if kind == "counts":  # the first part holds all the kinds
-        return row_counts(next(_parts(q, n, budget)))
+    if kind == "counts":  # kinds alone: no value is built
+        return kind_counts(n, row_kinds(q, n, budget))
     return tuple(map(sum, zip(*map(row_sums, _parts(q, n, budget)))))
 
 

@@ -4,37 +4,40 @@ Values are always written as exact decimal strings; the JSON format
 never carries numbers that might get read back as floats.
 
 Rows are palindromes that store their left half (see triangle), and so is
-a separator's join of one, so the CSV and JSON writers convert and join a
-row's half, then write it again mirrored: a row costs a list and a string
-of half its size.
+a separator's join of one: the CSV and JSON writers convert a row's half once,
+then write its join forward and mirrored, in slices of WRITE_CHUNK cells.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 from .triangle import DEFAULT_CELL_BUDGET, Row, TYPE_A, _Sized, child_edges, generate_rows
 
+WRITE_CHUNK = 2048  # cells a slice: no slice or join is large enough to be mmap'd
 
-def _write_values(half: list[int], size: int, sep: str, fp: IO[str]) -> None:
-    """Write sep.join of a size-cell palindrome's decimals: the half's, then mirrored."""
-    # kind-B cells copy their parent, so rows have few distinct values to convert
+
+def _write_joined(cells: Sequence[str], size: int, sep: str, fp: IO[str]) -> None:
+    """Write sep.join of a size-cell palindrome; cells begin with its left half."""
+    h, c = (size + 1) // 2, WRITE_CHUNK
+    fp.write(sep.join(cells[: min(c, h)]))
+    for s in range(c, h, c):
+        fp.write(sep + sep.join(cells[s : min(s + c, h)]))
+    for e in range(size // 2, 0, -c):  # the middle cell of an odd row is not mirrored
+        fp.write(sep + sep.join(cells[max(e - c, 0) : e][::-1]))
+
+
+def _decimals(half: list[int]) -> list[str]:
+    """The half's decimals in one list; kind-B cells copy, so few values differ."""
     decimals = {v: str(v) for v in set(half)}
-    left = list(_Sized(map(decimals.__getitem__, half), len(half)))
-    fp.write(sep.join(left))
-    if size % 2:
-        left.pop()  # the middle cell is not mirrored
-    if left:
-        left.reverse()
-        fp.write(sep)
-        fp.write(sep.join(left))
+    return list(_Sized(map(decimals.__getitem__, half), len(half)))
 
 
 def write_csv(rows: Iterable[Row], fp: IO[str]) -> None:
     """One triangle row per line, comma-separated decimal values."""
     for row in rows:
-        _write_values(row.half, len(row), ",", fp)
+        _write_joined(_decimals(row.half), len(row), ",", fp)
         fp.write("\n")
 
 
@@ -42,11 +45,9 @@ def write_json(rows: Iterable[Row], fp: IO[str]) -> None:
     """One JSON object {n, values, kinds} per line; no digit or kind needs escaping."""
     for row in rows:
         fp.write(f'{{"n":{row.n},"values":["')
-        _write_values(row.half, len(row), '","', fp)
+        _write_joined(_decimals(row.half), len(row), '","', fp)
         fp.write('"],"kinds":["')
-        left = '","'.join(row.kinds[: (len(row.kinds) + 1) // 2])
-        fp.write(left)
-        fp.write(left[-2::-1] if len(row.kinds) % 2 else '","' + left[::-1])
+        _write_joined(row.kinds, len(row), '","', fp)
         fp.write('"]}\n')
 
 
@@ -60,11 +61,10 @@ def write_dot(
     """
     rows = generate_rows(q, n_max, cell_budget)
     first = next(rows)  # rejects bad arguments before anything is written
-    fp.write("digraph triangle {\n")
-    fp.write("  rankdir=TB;\n")
+    fp.write("digraph triangle {\n  rankdir=TB;\n")
     prev: Row | None = None
     for row in chain([first], rows):
-        for k, (value, kind) in enumerate(zip(row.values, row.kinds)):
+        for k, (value, kind) in enumerate(map(row.cell, range(len(row)))):
             shape = "ellipse" if kind == TYPE_A else "box"
             fp.write(f'  n{row.n}_{k} [label="{value}", shape={shape}];\n')
         if prev is not None:

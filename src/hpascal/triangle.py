@@ -157,6 +157,12 @@ def _slot_word(kinds: str, q: int) -> bytes:
     return word
 
 
+def child_kinds(kinds: str, q: int) -> str:
+    """The kinds of the child of a row with these kinds: its slot word's filled slots."""
+    _check_q(q)
+    return _slot_word(kinds, q).replace(b"\0", b"").decode()
+
+
 def child_half(row: Row, q: int) -> tuple[str, Iterator[int]]:
     """The kinds of row's child, a palindrome as row is, and an iterator that
     builds the values of the child's left half.
@@ -202,6 +208,22 @@ def largest_row_within(q: int, cell_budget: int) -> int:
             return n - 1
 
 
+def _stream(q: int, n_max: int, cell_budget: int, row, child) -> Iterator:
+    """Row 0 as given, then row = child(row, q) for rows 1..n_max, each after its budget check."""
+    _check_q(q)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if cell_budget < 1:
+        raise ValueError("cell budget must be positive")
+    yield row
+    for n, (a, b) in zip(range(1, n_max + 1), _coupled_counts(q)):
+        size = a + b + 2
+        if size > cell_budget:
+            raise BudgetExceeded(n, size)
+        row = child(row, q)
+        yield row
+
+
 def generate_rows(
     q: int, n_max: int, cell_budget: int = DEFAULT_CELL_BUDGET
 ) -> Iterator[Row]:
@@ -210,19 +232,15 @@ def generate_rows(
     Raises BudgetExceeded (carrying the first offending row index) before
     any over-budget row is materialised.
     """
-    _check_q(q)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if cell_budget < 1:
-        raise ValueError("cell budget must be positive")
-    row = initial_row()
-    yield row
-    for n, (a, b) in zip(range(1, n_max + 1), _coupled_counts(q)):
-        size = a + b + 2
-        if size > cell_budget:
-            raise BudgetExceeded(n, size)
-        row = next_row(row, q)
-        yield row
+    return _stream(q, n_max, cell_budget, initial_row(), next_row)
+
+
+def row_kinds(q: int, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> str:
+    """The kinds of row n alone, each row's from its parent's and no value built;
+    checked against the budget as generate_rows is."""
+    for kinds in _stream(q, n, cell_budget, WINGER, child_kinds):
+        pass
+    return kinds
 
 
 def read_rows(
@@ -252,13 +270,16 @@ def nth_row(q: int, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> Row:
     return row
 
 
+def kind_counts(n: int, kinds: str) -> tuple[int, int, int]:
+    """(#kind-A, #kind-B, total) cells of row n >= 1, which has these kinds."""
+    if n < 1:
+        raise ValueError("row 0 has no winger pair; counts start at row 1")
+    return kinds.count(TYPE_A), kinds.count(TYPE_B), len(kinds)
+
+
 def row_counts(row: Row | RowPart) -> tuple[int, int, int]:
     """(#kind-A, #kind-B, total) cells of a row with index >= 1."""
-    if row.n < 1:
-        raise ValueError("row 0 has no winger pair; counts start at row 1")
-    a = row.kinds.count(TYPE_A)
-    b = row.kinds.count(TYPE_B)
-    return a, b, len(row)
+    return kind_counts(row.n, row.kinds)
 
 
 def position_sum(

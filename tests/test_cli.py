@@ -25,6 +25,16 @@ def test_counts_closed(capsys):
     assert out == "a=2 b=1 s=5\n"
 
 
+@pytest.mark.parametrize("argv, last_line", [
+    (("--method", "generate"), "a=6766 b=10945 s=17713"),
+    (("--cross-check",), "cross-check: OK"),
+])
+def test_counts_by_generation_read_kinds_and_build_no_value(capsys, built_rows, argv, last_line):
+    code, out, _ = run(capsys, "counts", "--q", "5", "--n", "12", *argv)
+    assert (code, out.splitlines()[-1]) == (0, last_line)
+    assert built_rows == []
+
+
 def test_counts_json(capsys):
     code, out, _ = run(capsys, "counts", "--q", "6", "--n", "4", "--json")
     assert code == 0

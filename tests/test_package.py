@@ -75,6 +75,18 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
+def one_shot_peak_mb(args):
+    """The exit code of `python -m hpascal *args`, run as a child, and its peak RSS in MB."""
+    src = Path(hpascal.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD_PEAK, sys.executable, "-m", "hpascal", *args],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    code, peak_kb = map(int, done.stdout.split())
+    return code, peak_kb / 1024
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
 @pytest.mark.parametrize("args", [
     ["verify"],
@@ -83,15 +95,20 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 def test_one_shot_commands_peak_under_62_mb(args):
     # the last row of a stream is read in parts and never stored: storing it,
     # these peaked at 74.9 MB (verify, caller or forked worker) and 76.7 MB
-    src = Path(hpascal.__file__).parents[1]
-    done = subprocess.run(
-        [sys.executable, "-c", CHILD_PEAK, sys.executable, "-m", "hpascal", *args],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    code, peak_kb = map(int, done.stdout.split())
+    code, peak_mb = one_shot_peak_mb(args)
     assert code == 0
-    assert peak_kb / 1024 < 62
+    assert peak_mb < 62
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rows_to_the_largest_default_row_peak_under_95_mb(fmt):
+    # the writers hold one list of a row's left half and write its line in
+    # slices; joining whole halves, these peaked at 96.7 (CSV) and 119.9 MB
+    args = ["rows", "--q", "5", "--n-max", "18", "--format", fmt, "-o", os.devnull]
+    code, peak_mb = one_shot_peak_mb(args)
+    assert code == 0
+    assert peak_mb < 95
 
 
 def attribute_reads(attr):
@@ -117,10 +134,9 @@ def attribute_reads(attr):
 
 def test_only_small_rows_are_read_through_row_values():
     # Row.values builds a full copy of the row on each access, so large rows
-    # are read through row.half; write_dot and euclidean_oracle read rows of
-    # a few hundred cells.  An x.values() call is a dict's, not a row's.
-    allowed = {("triangle.py", "Row.values"), ("export.py", "write_dot"),
-               ("verify.py", "euclidean_oracle")}
+    # are read through row.half; euclidean_oracle reads rows of a few
+    # hundred cells.  An x.values() call is a dict's, not a row's.
+    allowed = {("triangle.py", "Row.values"), ("verify.py", "euclidean_oracle")}
     assert attribute_reads("values") <= allowed
 
 

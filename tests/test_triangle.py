@@ -21,6 +21,7 @@ from hpascal.triangle import (
     next_row,
     nth_row,
     row_counts,
+    row_kinds,
     row_sums,
 )
 
@@ -232,6 +233,31 @@ def test_coupled_counts_agree_with_generated_rows(q, budget):
     assert len(rows[-1]) <= budget
     for row, (a, b) in zip(rows[1:], triangle._coupled_counts(q)):
         assert row_counts(row) == (a, b, a + b + 2)
+
+
+@settings(deadline=None)
+@given(q=st.integers(4, 30), budget=st.integers(1, 500))
+def test_row_kinds_are_the_generated_rows_kinds_within_the_same_budget(q, budget):
+    top = largest_row_within(q, budget)
+    for row in generate_rows(q, top, budget):
+        assert row_kinds(q, row.n, budget) == row.kinds
+        assert triangle.child_kinds(row.kinds, q) == next_row(row, q).kinds
+    with pytest.raises(BudgetExceeded) as kinds_exc:
+        row_kinds(q, top + 1, budget)
+    with pytest.raises(BudgetExceeded) as rows_exc:
+        list(generate_rows(q, top + 1, budget))
+    assert (kinds_exc.value.row, kinds_exc.value.size) == (rows_exc.value.row, rows_exc.value.size)
+
+
+@pytest.mark.parametrize("q, n, budget, error", [
+    (3, 2, 10, "q must be at least 4, got 3"),
+    (5, -1, 10, "n_max must be nonnegative"),
+    (5, 3, 0, "cell budget must be positive"),
+])
+def test_row_kinds_rejects_what_generate_rows_rejects(q, n, budget, error):
+    for call in (lambda: row_kinds(q, n, budget), lambda: list(generate_rows(q, n, budget))):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            call()
 
 
 @pytest.mark.parametrize("q", range(4, 31))
