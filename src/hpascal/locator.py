@@ -156,43 +156,42 @@ class PairLocation:
     trace: list[DescentStep]
 
 
-def _scan(pieces: Iterable[tuple[int, list[int]]], size: int, u: int, v: int) -> int | None:
-    """Column of the leftmost (u, v) that pieces (offset, chunk), in order and
-    adjacent, show of the size-cell palindrome whose left half they cover.
+def _scan(chunk: list[int], offset: int, before: int | None, size: int, u: int, v: int
+          ) -> int | None:
+    """Column of the leftmost (u, v) that chunk, cells offset.. of the half
+    of a size-cell palindrome, shows with before, the cell left of it.
 
     A palindrome holds (v, u) at column c exactly when it holds (u, v) at
-    size-2-c.  One hop over the occurrences of u in each chunk with
+    size-2-c.  One hop over the occurrences of u in the chunk with
     list.index, so the per-cell work runs in C, finds the leftmost (u, v)
     inside the half, else the last (v, u) there, whose mirror is the
-    leftmost (u, v) right of the middle pair.  The pair across two pieces
-    is read from the cell carried over, and the pieces that end the half
-    show the middle pair.  So when pieces that split a half each come with
-    the piece of one cell before them, the least column they give is the
-    half's.
+    leftmost (u, v) right of the middle pair.  The pair across the chunk's
+    left edge is read from before, and the chunk that ends the half shows
+    the middle pair.  So when chunks that split a half each come with the
+    cell before them, the least column they give is the half's.
     """
     middle = (size + 1) // 2 - 1  # column of the pair that straddles the middle
-    last, tail, end = None, [], 0  # tail: the last two cells read
-    for offset, chunk in pieces:
-        if tail and (tail[-1], chunk[0]) == (u, v):
-            return offset - 1
-        if tail and (tail[-1], chunk[0]) == (v, u):
-            last = offset - 1
-        # a pair at j < stop lies in the chunk and left of the middle pair
-        stop = min(middle - offset, len(chunk) - 1)
-        j = -1
-        try:
-            while True:
-                j = chunk.index(u, j + 1)
-                if j < stop and chunk[j + 1] == v:
-                    return offset + j
-                if j and chunk[j - 1] == v:
-                    last = offset + j - 1
-        except ValueError:
-            pass
-        tail, end = [*tail, *chunk[-2:]][-2:], offset + len(chunk)
+    edge = (before, chunk[0])  # never a pair when before is None
+    if edge == (u, v):
+        return offset - 1
+    last = offset - 1 if edge == (v, u) else None
+    # a pair at j < stop lies in the chunk and left of the middle pair
+    stop = min(middle - offset, len(chunk) - 1)
+    j = -1
+    try:
+        while True:
+            j = chunk.index(u, j + 1)
+            if j < stop and chunk[j + 1] == v:
+                return offset + j
+            if j and chunk[j - 1] == v:
+                last = offset + j - 1
+    except ValueError:
+        pass
     # the cell right of the half mirrors its second-last cell in an odd row, else its last
-    if size > 1 and end == middle + 1 and (tail[-1], tail[-1 - size % 2]) == (u, v):
-        return middle
+    if size > 1 and offset + len(chunk) == middle + 1:
+        right = chunk[-1] if size % 2 == 0 else chunk[-2] if len(chunk) > 1 else before
+        if (chunk[-1], right) == (u, v):
+            return middle
     return None if last is None else size - 2 - last
 
 
@@ -201,7 +200,7 @@ class PairScanner:
 
     Each pair's row comes from its descent trace.  Feed rows in order up
     to last_row, a row read in parts part by part; each row is searched
-    for every pair predicted in it.
+    for every pair predicted in it, a part with the last cell before it.
     outcomes[i] is then the PairLocation of the i-th pair, or the
     LocationFailure of a pair missing from its fully scanned row.  Pairs
     whose row exceeds the budget are UNVERIFIED from the start; a budget
@@ -214,7 +213,7 @@ class PairScanner:
         self.outcomes: list[PairLocation | LocationFailure | None] = []
         self._waiting: dict[int, list[tuple]] = {}  # row -> (index, u, v, trace)
         self._cols: dict[int, int] = {}  # index -> least column in the parts read
-        self._before: list[tuple[int, list[int]]] = []  # the last cell of the part before
+        self._before: int | None = None  # the last cell of the part before
         in_budget = largest_row_within(5, cell_budget)
         for i, (u, v) in enumerate(pairs):
             if u < 1 or v < 1:
@@ -234,18 +233,17 @@ class PairScanner:
         """Scan row, or the next part of it, for every pair predicted in it."""
         if row.n not in self._waiting:
             return
-        size, pieces = len(row), [*self._before, *row.pieces]
+        size = len(row)
         middle = (size + 1) // 2 - 1
         for i, u, v, _ in self._waiting[row.n]:
             if self._cols.get(i, size) >= middle:  # a column left of the middle is final
-                col = _scan(pieces, size, u, v)
+                col = _scan(row.half, row.offset, self._before, size, u, v)
                 if col is not None:
                     self._cols[i] = min(col, self._cols.get(i, col))
-        offset, chunk = row.pieces[-1]
-        self._before = [(offset + len(chunk) - 1, chunk[-1:])]
+        self._before = row.half[-1]
         if not completes(row):
             return
-        self._before = []
+        self._before = None
         for i, u, v, trace in self._waiting.pop(row.n, ()):
             col = self._cols.pop(i, None)
             if col is None:

@@ -10,8 +10,8 @@ row n+3 is a copy of row n, and row 3k carries the central value 2**k.
 
 Each law is a predicate over pattern codes, bit strings or cells, so a
 caller that already streams the rows (as `verify` does) keeps only
-those.  The index-based checkers stream the rows they read themselves,
-in a single pass from row 0.
+those.  The index-based checkers stream the kinds they read (for the
+central value, the rows) themselves, in a single pass from row 0.
 """
 
 from __future__ import annotations
@@ -23,34 +23,35 @@ from . import sequences
 from .triangle import (
     DEFAULT_CELL_BUDGET,
     Cell,
-    Row,
     TYPE_B,
+    WINGER,
+    _stream,
     central_cell,
+    child_kinds,
     generate_rows,
 )
 
 _TO_BITS = str.maketrans({"W": "1", "B": "1", "A": "0"})
 
 
-def pattern_bits(row: Row) -> str:
-    """The row's kinds as a bit string (wingers and kind-B map to 1)."""
-    return row.kinds.translate(_TO_BITS)
+def pattern_bits(kinds: str) -> str:
+    """A row's kinds as a bit string (wingers and kind-B map to 1)."""
+    return kinds.translate(_TO_BITS)
 
 
-def _rows(wanted: Iterable[int], cell_budget: int) -> Iterator[Row]:
-    """The wanted q = 5 rows in index order, from a single stream."""
+def _kinds(wanted: Iterable[int], cell_budget: int) -> Iterator[str]:
+    """The kinds of the wanted q = 5 rows in index order, from one stream of kinds alone."""
     wanted = set(wanted)
-    for row in generate_rows(5, max(wanted), cell_budget):
-        if row.n in wanted:
-            yield row
+    stream = _stream(5, max(wanted), cell_budget, WINGER, child_kinds)
+    return (kinds for n, kinds in enumerate(stream) if n in wanted)
 
 
 def pattern_int(n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
     """The binary pattern of row n as an integer."""
     if n < 0:
         raise ValueError("row index must be nonnegative")
-    (row,) = _rows([n], cell_budget)
-    return int(pattern_bits(row), 2)
+    (kinds,) = _kinds([n], cell_budget)
+    return int(pattern_bits(kinds), 2)
 
 
 def _row_len(n: int) -> int:
@@ -112,7 +113,7 @@ def check_pattern_recurrence(n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> 
     """Exact check of the pattern-difference recurrence at index n >= 3."""
     if n < 3:
         raise ValueError("the recurrence is stated for n >= 3")
-    codes = [int(pattern_bits(r), 2) for r in _rows(range(n - 2, n + 2), cell_budget)]
+    codes = [int(pattern_bits(k), 2) for k in _kinds(range(n - 2, n + 2), cell_budget)]
     return recurrence_holds(n, codes)
 
 
@@ -122,19 +123,20 @@ def check_prefix(n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> bool:
         raise ValueError("row index must be nonnegative")
     if n == 1:
         raise ValueError("n = 1 is the excluded index: row 2 does not start BB")
-    return prefix_holds(*map(pattern_bits, _rows([n, n + 1], cell_budget)))
+    return prefix_holds(*map(pattern_bits, _kinds([n, n + 1], cell_budget)))
 
 
 def check_central_copy(n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> bool:
     """The centre of row n+3 repeats the whole pattern of row n."""
     if n < 0:
         raise ValueError("row index must be nonnegative")
-    return central_copy_holds(*map(pattern_bits, _rows([n, n + 3], cell_budget)))
+    return central_copy_holds(*map(pattern_bits, _kinds([n, n + 3], cell_budget)))
 
 
 def check_central_value(k: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> bool:
     """Row 3k's central cell holds 2**k and has kind B (k >= 1)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    (row,) = _rows([3 * k], cell_budget)
+    for row in generate_rows(5, 3 * k, cell_budget):  # a value: whole rows
+        pass
     return central_value_holds(k, central_cell(row))

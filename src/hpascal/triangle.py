@@ -25,7 +25,8 @@ Rows are immutable once produced; generation is strictly streaming
 (row n+1 is built from row n only), and row sizes grow geometrically,
 so a cell budget guards every generating entry point.  A stream's last
 row is most of its cells and never a parent, so read_rows never stores
-it: it comes as RowParts, which the readers of a Row read alike.
+it: it comes as RowParts, each one slice of its half at an offset.  A Row
+reads as its part at offset 0, so every reader reads both alike.
 """
 
 from __future__ import annotations
@@ -80,14 +81,10 @@ class Row:
     n: int
     half: list[int]
     kinds: str
+    offset = 0  # a whole row reads as its part at offset 0
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    @property
-    def pieces(self) -> tuple[tuple[int, list[int]], ...]:
-        """The half as (offset, chunk) pieces: one piece, at offset 0."""
-        return ((0, self.half),)
 
     @property
     def values(self) -> list[int]:
@@ -102,21 +99,20 @@ class Row:
 
 
 class RowPart:
-    """Adjacent pieces (offset, chunk) of row n's left half, with all its kinds."""
+    """Cells offset.. of row n's left half, as half, with all its kinds."""
 
-    __slots__ = ("n", "kinds", "pieces")  # a plain class: a dataclass is slow to import
+    __slots__ = ("n", "kinds", "offset", "half")  # plain: a dataclass is slow to import
 
-    def __init__(self, n: int, kinds: str, pieces: tuple[tuple[int, list[int]], ...]):
-        self.n, self.kinds, self.pieces = n, kinds, pieces
+    def __init__(self, n: int, kinds: str, offset: int, half: list[int]):
+        self.n, self.kinds, self.offset, self.half = n, kinds, offset, half
 
     def __len__(self) -> int:
         return len(self.kinds)
 
 
 def completes(row: Row | RowPart) -> bool:
-    """Whether row's last piece ends its half: no part of it follows."""
-    offset, chunk = row.pieces[-1]
-    return offset + len(chunk) == (len(row) + 1) // 2
+    """Whether row's half runs to the row's middle: no part of it follows."""
+    return row.offset + len(row.half) == (len(row) + 1) // 2
 
 
 def _check_q(q: int) -> None:
@@ -208,8 +204,9 @@ def largest_row_within(q: int, cell_budget: int) -> int:
             return n - 1
 
 
-def _stream(q: int, n_max: int, cell_budget: int, row, child) -> Iterator:
-    """Row 0 as given, then row = child(row, q) for rows 1..n_max, each after its budget check."""
+def _stream(q: int, n_max: int, cell_budget: int, row, child, last=None) -> Iterator:
+    """Row 0 as given, then row = child(row, q) for rows 1..n_max, each after its
+    budget check; with last given, row n_max comes as what last(row, q) yields."""
     _check_q(q)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -220,6 +217,9 @@ def _stream(q: int, n_max: int, cell_budget: int, row, child) -> Iterator:
         size = a + b + 2
         if size > cell_budget:
             raise BudgetExceeded(n, size)
+        if n == n_max and last:
+            yield from last(row, q)
+            return
         row = child(row, q)
         yield row
 
@@ -243,6 +243,13 @@ def row_kinds(q: int, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> str:
     return kinds
 
 
+def _parts(parent: Row, q: int) -> Iterator[RowPart]:
+    """parent's child, a RowPart per CHUNK cells of its half, each built as it is read."""
+    kinds, cells = child_half(parent, q)
+    for offset in range(0, (len(kinds) + 1) // 2, CHUNK):
+        yield RowPart(parent.n + 1, kinds, offset, list(islice(cells, CHUNK)))
+
+
 def read_rows(
     q: int, n_max: int, cell_budget: int = DEFAULT_CELL_BUDGET
 ) -> Iterator[Row | RowPart]:
@@ -250,17 +257,7 @@ def read_rows(
     stored: a RowPart per CHUNK cells of its half, each built as it is read.
     As in generate_rows, BudgetExceeded comes before an over-budget row is built.
     """
-    if n_max < 1:  # row 0 is one cell
-        yield from generate_rows(q, n_max, cell_budget)
-        return
-    for parent in generate_rows(q, n_max - 1, cell_budget):
-        yield parent
-    a, b = next(islice(_coupled_counts(q), n_max - 1, None))
-    if a + b + 2 > cell_budget:
-        raise BudgetExceeded(n_max, a + b + 2)
-    kinds, cells = child_half(parent, q)
-    for offset in range(0, (len(kinds) + 1) // 2, CHUNK):
-        yield RowPart(n_max, kinds, ((offset, list(islice(cells, CHUNK))),))
+    return _stream(q, n_max, cell_budget, initial_row(), next_row, last=_parts)
 
 
 def nth_row(q: int, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> Row:
@@ -288,30 +285,29 @@ def position_sum(
     """Sum of even * value over the even columns and odd * value over the odd
     ones, over the cells of this kind only when one is given.
 
-    Read from the left half's pieces: cells k and L-1-k share value and
-    kind, and a column parity exactly when L is odd.  In an even row each
-    mirrored pair weighs even + odd; in an odd row the cells left of the
-    middle weigh twice their column's weight and the middle cell once.
-    So the sums over a row's parts add up to the row's.
+    Read from the half, or a RowPart's slice of it: cells k and L-1-k
+    share value and kind, and a column parity exactly when L is odd.  In
+    an even row each mirrored pair weighs even + odd; in an odd row the
+    cells left of the middle weigh twice their column's weight and the
+    middle cell once.  So the sums over a row's parts add up to the row's.
     """
     h, odd_row = divmod(len(row), 2)
-    total = 0
-    for offset, chunk in row.pieces:
-        end = offset + len(chunk)
-        mask = kind and row.kinds[offset:end].encode("ascii").translate(_KIND_TABLES[kind])
+    offset, half = row.offset, row.half
+    end = offset + len(half)
+    mask = kind and row.kinds[offset:end].encode("ascii").translate(_KIND_TABLES[kind])
 
-        def fold(start: int = 0, step: int = 1) -> int:  # chunk[start::step], of the kind
-            cells = chunk if step == 1 else islice(chunk, start, None, step)
-            return sum(cells if mask is None else compress(cells, mask[start::step]))
+    def fold(start: int = 0, step: int = 1) -> int:  # half[start::step], of the kind
+        cells = half if step == 1 else islice(half, start, None, step)
+        return sum(cells if mask is None else compress(cells, mask[start::step]))
 
-        if not odd_row:
-            total += (even + odd) * fold()
-        elif even == odd:
-            total += 2 * even * fold()
-        else:  # column offset + i is even for i of offset's parity
-            total += 2 * (even * fold(offset % 2, 2) + odd * fold(1 - offset % 2, 2))
-        if odd_row and end == h + 1 and kind in (None, row.kinds[h]):
-            total -= chunk[-1] * (odd if h % 2 else even)  # the middle cell weighs once
+    if not odd_row:
+        total = (even + odd) * fold()
+    elif even == odd:
+        total = 2 * even * fold()
+    else:  # column offset + i is even for i of offset's parity
+        total = 2 * (even * fold(offset % 2, 2) + odd * fold(1 - offset % 2, 2))
+    if odd_row and end == h + 1 and kind in (None, row.kinds[h]):
+        total -= half[-1] * (odd if h % 2 else even)  # the middle cell weighs once
     return total
 
 
@@ -321,7 +317,7 @@ def part_sums(row: Row | RowPart, even: int = 1, odd: int = 1) -> tuple[int, int
     columns 0 and L-1 (row 0's one cell is its only winger)."""
     size = len(row)
     wingers = even if size == 1 else even + (even if size % 2 else odd)
-    if row.pieces[0][0]:  # only the piece at offset 0 holds the wingers
+    if row.offset:  # only the part at offset 0 holds the wingers
         wingers = 0
     a, total = position_sum(row, even, odd, TYPE_A), position_sum(row, even, odd)
     return a, total - a - wingers, total
@@ -339,8 +335,7 @@ def central_cell(row: Row | RowPart) -> Cell:
     m = len(row)
     if m % 2 == 0:
         raise NoCentralCell(f"row {row.n} has {m} cells")
-    offset, chunk = row.pieces[-1]
-    return Cell(chunk[m // 2 - offset], row.kinds[m // 2])
+    return Cell(row.half[m // 2 - row.offset], row.kinds[m // 2])
 
 
 def child_edges(kinds: str, q: int) -> Iterator[tuple[int, int]]:

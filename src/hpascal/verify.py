@@ -98,9 +98,9 @@ class RowReader:
     stream() calls feed(q, row) for each row 0..last[q] of each q, in
     order, a stream's last row as RowParts in order.  At a row's last part
     feed keeps keep(row, folded) in kept[q, n], folded being the sum over
-    the row's parts of fold, a read that adds over them.  The first
-    failure a read raises is kept in error, for run to fail the suite
-    with, and nothing more is kept.
+    the row's parts of fold, a read that adds over them, from the part at
+    offset 0 on.  The first failure a read raises is kept in error, for
+    run to fail the suite with, and nothing more is kept.
     """
 
     def __init__(self, last: dict[int, int], keep: Callable, fold: Callable | None = None):
@@ -118,7 +118,7 @@ class RowReader:
     def read(self, q: int, row: Row | RowPart) -> None:
         if self.fold:
             part = self.fold(row)
-            self.folded = tuple(map(add, self.folded, part)) if row.pieces[0][0] else part
+            self.folded = tuple(map(add, self.folded, part)) if row.offset else part
         if completes(row):
             self.kept[q, row.n] = self.keep(row, self.folded)
 
@@ -290,7 +290,7 @@ def _pattern_rows() -> RowReader:
     """Bit strings of q = 5 rows 0..16, central cells of rows 3k up to 18."""
 
     def keep(row: Row | RowPart, _) -> tuple[str | None, Cell | None]:
-        bits = pattern.pattern_bits(row) if row.n <= 16 else None
+        bits = pattern.pattern_bits(row.kinds) if row.n <= 16 else None
         return bits, central_cell(row) if row.n % 3 == 0 else None
 
     return RowReader({5: 18}, keep)
@@ -322,7 +322,7 @@ def pattern_checks(seen: RowReader) -> str:
 
 # (pair, row, column) of pairs whose cell is known
 LOCATOR_SPOTS = (
-    ((2, 3), 3, 2), ((3, 5), 4, 2), ((2, 2), 4, 4), ((4, 6), 6, 28)
+    ((2, 3), 3, 2), ((3, 5), 4, 2), ((2, 2), 4, 4), ((3, 1), 3, 3), ((4, 6), 6, 28)
 )
 
 

@@ -177,7 +177,7 @@ def test_pattern_phi(capsys):
 def test_a_pattern_code_past_the_digit_limit_prints_in_full(capsys):
     code, out, _ = run(capsys, "pattern", "--n", "12")
     assert code == 0
-    assert out.splitlines()[1] == pattern_bits(nth_row(5, 12))
+    assert out.splitlines()[1] == pattern_bits(nth_row(5, 12).kinds)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
@@ -191,6 +191,19 @@ def test_counts_past_the_digit_limit_print_in_full(capsys):
         assert out == "a={} b={} s={}\n".format(*sequences.counts_coupled(5, 20000))
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("check, built", [
+    ("phi", []), ("recurrence", []), ("prefix", []), ("central-copy", []),
+    ("central-value", [(5, n) for n in range(1, 13)]),  # reads row 12's middle value
+])
+def test_pattern_checks_read_kinds_and_build_no_value(capsys, built_rows, check, built):
+    code, out, _ = run(capsys, "pattern", "--n", "4", "--check", check)
+    assert built_rows == built
+    if check == "phi":
+        assert (code, out.splitlines()[1]) == (0, pattern_bits(nth_row(5, 4).kinds))
+    else:
+        assert (code, json.loads(out)) == (0, {"n": 4, "check": check, "pass": True})
 
 
 def test_pattern_check_report(capsys):
@@ -413,7 +426,7 @@ def test_degenerate_discriminant_stays_a_usage_error(capsys, monkeypatch):
      "error: pair (1, 2) not adjacent anywhere in row 2\n"),
 ])
 def test_pair_missing_from_its_row_is_a_failed_check(capsys, monkeypatch, argv, err):
-    monkeypatch.setattr("hpascal.locator._scan", lambda half, size, u, v: None)
+    monkeypatch.setattr("hpascal.locator._scan", lambda *args: None)
     assert run(capsys, *argv) == (1, "", err)
 
 

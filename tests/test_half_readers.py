@@ -3,7 +3,7 @@ read a row's left half and middle cell; so do locator._scan and
 central_cell.
 
 Each takes a row from next_row, a palindrome, and reads only its left half
-plus the middle cell of an odd row, as one piece or as many.  The
+plus the middle cell of an odd row, whole or a part at a time.  The
 references below read every cell.
 """
 
@@ -109,8 +109,8 @@ def test_readers_transient_peak_per_cell(reader, bound):
 
 
 def splits(row):
-    """The row's half cut into pieces (offset, chunk) of 1, 2 and 3 cells, into
-    one piece, and into two pieces the second of which is the last cell alone:
+    """The row's half cut into parts (offset, chunk) of 1, 2 and 3 cells, into
+    one part, and into two parts the second of which is the last cell alone:
     the middle cell of an odd row."""
     half = row.half
     cuts = [[(k, half[k:k + size]) for k in range(0, len(half), size)]
@@ -128,32 +128,30 @@ def test_the_splits_put_the_last_cell_in_a_chunk_of_its_own(swept_rows):
 
 
 def test_part_sums_over_any_split_match_the_full_row_reference(swept_rows):
+    # the sums over a row's parts add up to the row's
     for q, row in swept_rows:
         for even, odd in seeded_weights():
             want = part_sums_reference(row, even, odd)
-            for pieces in splits(row):
-                assert part_sums(RowPart(row.n, row.kinds, tuple(pieces)), even, odd) == want, (
-                    q, row.n, even, odd, len(pieces))
-                # the sums over parts of one piece each add up to the row's
-                parts = [part_sums(RowPart(row.n, row.kinds, (piece,)), even, odd)
-                         for piece in pieces]
-                assert tuple(map(sum, zip(*parts))) == want, (q, row.n, even, odd, len(pieces))
+            for split in splits(row):
+                parts = [part_sums(RowPart(row.n, row.kinds, offset, chunk), even, odd)
+                         for offset, chunk in split]
+                assert tuple(map(sum, zip(*parts))) == want, (q, row.n, even, odd, len(split))
 
 
 def test_the_middle_cell_comes_from_the_last_part(swept_rows):
     for q, row in swept_rows:
         if len(row) % 2:
-            for pieces in splits(row):
-                last = RowPart(row.n, row.kinds, tuple(pieces[-1:]))
-                assert central_cell(last) == row.cell(len(row) // 2), (q, row.n, len(pieces))
+            for split in splits(row):
+                last = RowPart(row.n, row.kinds, *split[-1])
+                assert central_cell(last) == row.cell(len(row) // 2), (q, row.n, len(split))
 
 
-def windows(pieces):
-    """Each piece after a piece of the one cell before it, as PairScanner reads the parts of a row."""
-    before = []
-    for offset, chunk in pieces:
-        yield [*before, (offset, chunk)]
-        before = [(offset + len(chunk) - 1, chunk[-1:])]
+def windows(split):
+    """(chunk, offset, cell before it) of each part, as PairScanner reads the parts of a row."""
+    before = None
+    for offset, chunk in split:
+        yield chunk, offset, before
+        before = chunk[-1]
 
 
 def scan_reference(values, u, v):
@@ -162,18 +160,18 @@ def scan_reference(values, u, v):
 
 def test_scans_over_any_split_match_the_full_row_reference(swept_rows):
     # every adjacent pair of every row, and a few absent ones; splits into
-    # more than 200 pieces are left out, as they cost a pass over the
-    # pieces per pair
+    # more than 200 parts are left out, as they cost a pass over the parts
+    # per pair
     for q, row in swept_rows:
         values = row.values
         pairs = set(zip(values, values[1:]))  # a palindrome's pairs come both ways round
         probes = {*pairs, *((u, v + 1) for u, v in sorted(pairs)[:10])}
-        for pieces in splits(row):
-            if len(pieces) > 200:
+        for split in splits(row):
+            if len(split) > 200:
                 continue
             for u, v in probes:
                 want = scan_reference(values, u, v)
-                assert _scan(pieces, len(row), u, v) == want, (q, row.n, u, v, len(pieces))
                 # one part at a time, each after the cell before it: the least column
-                cols = [_scan(w, len(row), u, v) for w in windows(pieces)]
-                assert min((c for c in cols if c is not None), default=None) == want, (q, row.n, u, v)
+                cols = [_scan(*w, len(row), u, v) for w in windows(split)]
+                assert min((c for c in cols if c is not None), default=None) == want, (
+                    q, row.n, u, v, len(split))

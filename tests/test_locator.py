@@ -160,7 +160,7 @@ def test_descent_trace_sums_to_locate_row_up_to_60():
 
 
 def test_scan_matches_reference_including_mirror_hits():
-    # _scan reads a palindrome's left half, here as one piece; a hit right
+    # _scan reads a palindrome's left half, here whole; a hit right
     # of the middle is the mirror of a reversed pair inside the half
     rng = random.Random(5)
     for _ in range(500):
@@ -168,9 +168,9 @@ def test_scan_matches_reference_including_mirror_hits():
         size = 2 * len(half) - rng.randint(0, 1)
         values = half + half[: size // 2][::-1]
         u, v = rng.randint(1, 5), rng.randint(1, 5)
-        assert _scan([(0, half)], size, u, v) == reference_column(reference_scan(values, u, v)), (
+        assert _scan(half, 0, None, size, u, v) == reference_column(reference_scan(values, u, v)), (
             values, u, v)
-    assert _scan([(0, [3, 1, 2, 4])], 8, 2, 1) == 5  # in 3 1 2 4 4 2 1 3
+    assert _scan([3, 1, 2, 4], 0, None, 8, 2, 1) == 5  # in 3 1 2 4 4 2 1 3
 
 
 def scan_reference(values, u, v):
@@ -200,7 +200,7 @@ def test_half_scan_matches_the_full_row_scan_on_q5_rows(rows_q5):
         probes = {*pairs, *((v, u) for u, v in pairs), *((u, u) for u, _ in pairs),
                   *((u, v + 1) for u, v in pairs)}
         for u, v in probes:
-            col = _scan(row.pieces, len(row), u, v)
+            col = _scan(row.half, 0, None, len(row), u, v)
             assert col == reference_column(scan_reference(values, u, v)), (row.n, u, v)
             if col is not None:
                 assert (values[col], values[col + 1]) == (u, v)
@@ -215,7 +215,7 @@ def test_rows_fed_in_parts_place_pairs_as_whole_rows(rows_q5, size):
     for row in rows_q5[: whole.last_row + 1]:
         whole.feed(row)
         for k in range(0, len(row.half), size):
-            parted.feed(RowPart(row.n, row.kinds, ((k, row.half[k:k + size]),)))
+            parted.feed(RowPart(row.n, row.kinds, k, row.half[k:k + size]))
     assert all(out.verified == FULL_ROW for out in whole.outcomes)
     assert parted.outcomes == whole.outcomes
 
@@ -291,7 +291,7 @@ def test_every_stored_row_sits_at_its_own_index(locator_rows):
 
 def test_a_warm_memo_still_raises_location_failure(locator_rows, monkeypatch):
     assert locate_pair(5, 8).verified == FULL_ROW
-    monkeypatch.setattr("hpascal.locator._scan", lambda half, size, u, v: None)
+    monkeypatch.setattr("hpascal.locator._scan", lambda *args: None)
     with pytest.raises(LocationFailure) as exc_info:
         locate_pair(5, 8)
     assert (exc_info.value.u, exc_info.value.v, exc_info.value.row) == (5, 8, 5)
@@ -326,7 +326,7 @@ def test_concurrent_callers_get_single_thread_answers(built_rows, locator_rows):
 
 
 def test_locate_pairs_raises_the_first_failure_in_input_order(monkeypatch):
-    monkeypatch.setattr("hpascal.locator._scan", lambda half, size, u, v: None)
+    monkeypatch.setattr("hpascal.locator._scan", lambda *args: None)
     with pytest.raises(LocationFailure) as exc_info:
         locate_pairs([(10**6, 10**6 + 1), (5, 8), (2, 3)], cell_budget=10**5)
     assert (exc_info.value.u, exc_info.value.v, exc_info.value.row) == (5, 8, 5)

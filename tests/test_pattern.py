@@ -90,7 +90,7 @@ def test_row_indices_must_be_nonnegative(check):
 
 def test_codes_are_palindromic_with_full_bit_length(rows_q5):
     for row in rows_q5[1:11]:
-        bits = pattern_bits(row)
+        bits = pattern_bits(row.kinds)
         assert bits == bits[::-1]
         assert int(bits, 2).bit_length() == len(bits) == counts_ternary(5, row.n).s
 
@@ -103,7 +103,7 @@ def test_requested_row_must_fit_the_budget():
 
 
 def test_laws_as_predicates(rows_q5):
-    bits = [pattern_bits(row) for row in rows_q5]
+    bits = [pattern_bits(row.kinds) for row in rows_q5]
     codes = [int(b, 2) for b in bits]
     assert recurrence_holds(5, codes[3:7])
     assert not recurrence_holds(5, [codes[3], codes[4], codes[5], codes[6] + 1])

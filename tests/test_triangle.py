@@ -20,6 +20,7 @@ from hpascal.triangle import (
     largest_row_within,
     next_row,
     nth_row,
+    read_rows,
     row_counts,
     row_kinds,
     row_sums,
@@ -255,7 +256,8 @@ def test_row_kinds_are_the_generated_rows_kinds_within_the_same_budget(q, budget
     (5, 3, 0, "cell budget must be positive"),
 ])
 def test_row_kinds_rejects_what_generate_rows_rejects(q, n, budget, error):
-    for call in (lambda: row_kinds(q, n, budget), lambda: list(generate_rows(q, n, budget))):
+    for call in (lambda: row_kinds(q, n, budget), lambda: list(generate_rows(q, n, budget)),
+                 lambda: list(read_rows(q, n, budget))):
         with pytest.raises(ValueError, match=f"^{error}$"):
             call()
 

@@ -290,7 +290,7 @@ def test_a_euclidean_mismatch_names_its_cell(monkeypatch):
 
 
 def test_an_embedding_pair_missing_from_its_row_fails_the_suite(monkeypatch):
-    monkeypatch.setattr(locator, "_scan", lambda half, size, u, v: None)
+    monkeypatch.setattr(locator, "_scan", lambda *args: None)
     (result,) = verify.run(["embeddings"])
     assert not result.passed
     assert result.detail.startswith("location failure: pair (")
@@ -469,14 +469,16 @@ def test_the_top_row_is_checked_against_the_budget_before_it_is_built(built_rows
     assert built_rows == [(5, n) for n in range(1, 6)]
 
 
-def test_the_top_row_comes_in_parts_that_cover_its_half(monkeypatch):
-    monkeypatch.setattr(triangle, "CHUNK", 10)
-    *kept, = triangle.read_rows(6, 5)
-    whole = triangle.nth_row(6, 5)
+@pytest.mark.parametrize("q", [4, 5, 6, 10])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 10])
+def test_the_top_row_comes_in_parts_that_cover_its_half(monkeypatch, q, chunk):
+    monkeypatch.setattr(triangle, "CHUNK", chunk)
+    *kept, = triangle.read_rows(q, 5)
+    whole = triangle.nth_row(q, 5)
     parts = [row for row in kept if isinstance(row, triangle.RowPart)]
     assert [row.n for row in kept] == [0, 1, 2, 3, 4] + [5] * len(parts)
     assert all(row.kinds == whole.kinds for row in parts)
-    assert [piece for row in parts for piece in row.pieces] == [
-        (k, whole.half[k:k + 10]) for k in range(0, len(whole.half), 10)
+    assert [(row.offset, row.half) for row in parts] == [
+        (k, whole.half[k:k + chunk]) for k in range(0, len(whole.half), chunk)
     ]
     assert [triangle.completes(row) for row in parts] == [False] * (len(parts) - 1) + [True]
