@@ -35,7 +35,6 @@ from . import triangle
 from .triangle import (
     DEFAULT_CELL_BUDGET,
     Row,
-    RowPart,
     completes,
     generate_rows,
     initial_row,
@@ -199,8 +198,9 @@ class PairScanner:
     """Places a batch of pairs as the q = 5 rows stream past.
 
     Each pair's row comes from its descent trace.  Feed rows in order up
-    to last_row, a row read in parts part by part; each row is searched
-    for every pair predicted in it, a part with the last cell before it.
+    to last_row, a row that comes in slices slice by slice; each row is
+    searched for every pair predicted in it, a slice with the last cell
+    before it.
     outcomes[i] is then the PairLocation of the i-th pair, or the
     LocationFailure of a pair missing from its fully scanned row.  Pairs
     whose row exceeds the budget are UNVERIFIED from the start; a budget
@@ -212,8 +212,8 @@ class PairScanner:
     ) -> None:
         self.outcomes: list[PairLocation | LocationFailure | None] = []
         self._waiting: dict[int, list[tuple]] = {}  # row -> (index, u, v, trace)
-        self._cols: dict[int, int] = {}  # index -> least column in the parts read
-        self._before: int | None = None  # the last cell of the part before
+        self._cols: dict[int, int] = {}  # index -> least column in the slices read
+        self._before: int | None = None  # the last cell of the slice before
         in_budget = largest_row_within(5, cell_budget)
         for i, (u, v) in enumerate(pairs):
             if u < 1 or v < 1:
@@ -229,8 +229,8 @@ class PairScanner:
                 self._waiting.setdefault(row_index, []).append((i, u, v, trace))
         self.last_row = max(self._waiting, default=-1)
 
-    def feed(self, row: Row | RowPart) -> None:
-        """Scan row, or the next part of it, for every pair predicted in it."""
+    def feed(self, row: Row) -> None:
+        """Scan row, or the next slice of it, for every pair predicted in it."""
         if row.n not in self._waiting:
             return
         size = len(row)

@@ -16,7 +16,6 @@ central value, the rows) themselves, in a single pass from row 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import sequences
@@ -77,15 +76,14 @@ def recurrence_holds(n: int, codes: Sequence[int]) -> bool:
 
         D_n = (S_n/S_{n-1} + S_n + S_{n-1}) * D_{n-1} - S_{n-1}**2 * D_{n-2}
 
-    Evaluated over exact rationals, so the integrality of S_n/S_{n-1} is
-    checked rather than assumed.
+    Checked exactly in integers, times S_{n-1} > 0, which keeps its truth
+    value; each S_k = 2**e_k is a shift by e_k = s_{k+1} - s_k.
     """
     c_2, c_1, c_0, c_next = codes
     d_n, d_1, d_2 = c_next - c_0, c_0 - c_1, c_1 - c_2
-    s_n = growth_power(n)
-    s_1 = growth_power(n - 1)
-    rhs = (Fraction(s_n, s_1) + s_n + s_1) * d_1 - Fraction(s_1) ** 2 * d_2
-    return rhs == d_n
+    e, f = (_row_len(k + 1) - _row_len(k) for k in (n, n - 1))  # of S_n and S_{n-1}
+    rhs = (d_1 << e) + (d_1 << (e + f)) + (d_1 << 2 * f) - (d_2 << 3 * f)
+    return rhs == d_n << f
 
 
 def prefix_holds(bits: str, following: str) -> bool:

@@ -25,7 +25,7 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .quadfield import QuadElem
-from .triangle import Row, RowPart, _check_q, _coupled_counts, part_sums
+from .triangle import Row, _check_q, _coupled_counts, part_sums
 
 
 class DegenerateDiscriminant(ValueError):
@@ -174,8 +174,8 @@ def alt_sum(n: int) -> int:
     return 2
 
 
-def alt_triple_from_row(row: Row | RowPart) -> AltTriple:
-    """The AltTriple of a row of any q, or of a part of one: triangle.part_sums
+def alt_triple_from_row(row: Row) -> AltTriple:
+    """The AltTriple of a row of any q, or of one slice of it: triangle.part_sums
     at weights 1 and -1."""
     return AltTriple(*part_sums(row, 1, -1))
 

@@ -25,8 +25,9 @@ Rows are immutable once produced; generation is strictly streaming
 (row n+1 is built from row n only), and row sizes grow geometrically,
 so a cell budget guards every generating entry point.  A stream's last
 row is most of its cells and never a parent, so read_rows never stores
-it: it comes as RowParts, each one slice of its half at an offset.  A Row
-reads as its part at offset 0, so every reader reads both alike.
+it: it comes as Rows that each hold one slice of its half, at an offset.
+A stored row is the slice at offset 0 that runs to the middle, so every
+reader reads both alike.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ TYPE_A = "A"
 TYPE_B = "B"
 
 DEFAULT_CELL_BUDGET = 10**7
-CHUNK = 1 << 16  # cells of its left half in each part of a stream's last row
+CHUNK = 1 << 16  # cells of its left half in each slice of a stream's last row
 
 # per kind, a bytes.translate table taking that kind to 1 and the others to 0
 _KIND_TABLES = {k: bytes.maketrans(b"WAB", bytes(c == k for c in "WAB")) for k in "WAB"}
@@ -72,46 +73,39 @@ class Cell(NamedTuple):
 
 @dataclass(slots=True)
 class Row:
-    """One row: index n, the values of its left half and the kinds of all its cells.
+    """Row n: the values of cells offset.. of its left half, and the kinds of all its cells.
 
-    half holds cells 0..ceil(L/2)-1 of a row of L = len(kinds) cells; cell
-    k has the value of cell L-1-k.
+    The left half of a row of L = len(kinds) cells is cells 0..ceil(L/2)-1,
+    and cell k has the value of cell L-1-k.  A stored row's half is all of
+    it, at offset 0; a stream's last row comes as slices of it.
     """
 
     n: int
     half: list[int]
     kinds: str
-    offset = 0  # a whole row reads as its part at offset 0
+    offset: int = 0
 
     def __len__(self) -> int:
         return len(self.kinds)
 
     @property
     def values(self) -> list[int]:
-        """Every cell's value, a full copy built on each access: for small rows only."""
+        """Every cell's value, a full copy built on each access: small whole rows only."""
+        if self.offset or not completes(self):
+            raise ValueError(f"row {self.n} at {self.offset} is a slice, not a whole row")
         return self.half + self.half[: len(self) // 2][::-1]
 
     def cell(self, k: int) -> Cell:
-        size = len(self)
-        if not 0 <= k < size:
-            raise IndexError(f"row {self.n} has no cell {k}")
-        return Cell(self.half[min(k, size - 1 - k)], self.kinds[k])
+        """Cell k, or IndexError unless it or its mirror L-1-k lies in this slice."""
+        j = min(k, len(self) - 1 - k) - self.offset  # negative for k outside the row
+        if not 0 <= j < len(self.half):
+            where = f" in its slice at {self.offset}" if 0 <= k < len(self) else ""
+            raise IndexError(f"row {self.n} has no cell {k}{where}")
+        return Cell(self.half[j], self.kinds[k])
 
 
-class RowPart:
-    """Cells offset.. of row n's left half, as half, with all its kinds."""
-
-    __slots__ = ("n", "kinds", "offset", "half")  # plain: a dataclass is slow to import
-
-    def __init__(self, n: int, kinds: str, offset: int, half: list[int]):
-        self.n, self.kinds, self.offset, self.half = n, kinds, offset, half
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-
-def completes(row: Row | RowPart) -> bool:
-    """Whether row's half runs to the row's middle: no part of it follows."""
+def completes(row: Row) -> bool:
+    """Whether row's half runs to the row's middle: no slice of it follows."""
     return row.offset + len(row.half) == (len(row) + 1) // 2
 
 
@@ -243,18 +237,18 @@ def row_kinds(q: int, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> str:
     return kinds
 
 
-def _parts(parent: Row, q: int) -> Iterator[RowPart]:
-    """parent's child, a RowPart per CHUNK cells of its half, each built as it is read."""
+def _parts(parent: Row, q: int) -> Iterator[Row]:
+    """parent's child, a slice per CHUNK cells of its half, each built as it is read."""
     kinds, cells = child_half(parent, q)
     for offset in range(0, (len(kinds) + 1) // 2, CHUNK):
-        yield RowPart(parent.n + 1, kinds, offset, list(islice(cells, CHUNK)))
+        yield Row(parent.n + 1, list(islice(cells, CHUNK)), kinds, offset)
 
 
 def read_rows(
     q: int, n_max: int, cell_budget: int = DEFAULT_CELL_BUDGET
-) -> Iterator[Row | RowPart]:
+) -> Iterator[Row]:
     """Rows 0..n_max-1 as generate_rows streams them, then row n_max, never
-    stored: a RowPart per CHUNK cells of its half, each built as it is read.
+    stored: a Row slice per CHUNK cells of its half, each built as it is read.
     As in generate_rows, BudgetExceeded comes before an over-budget row is built.
     """
     return _stream(q, n_max, cell_budget, initial_row(), next_row, last=_parts)
@@ -274,22 +268,20 @@ def kind_counts(n: int, kinds: str) -> tuple[int, int, int]:
     return kinds.count(TYPE_A), kinds.count(TYPE_B), len(kinds)
 
 
-def row_counts(row: Row | RowPart) -> tuple[int, int, int]:
+def row_counts(row: Row) -> tuple[int, int, int]:
     """(#kind-A, #kind-B, total) cells of a row with index >= 1."""
     return kind_counts(row.n, row.kinds)
 
 
-def position_sum(
-    row: Row | RowPart, even: int = 1, odd: int = 1, kind: str | None = None
-) -> int:
+def position_sum(row: Row, even: int = 1, odd: int = 1, kind: str | None = None) -> int:
     """Sum of even * value over the even columns and odd * value over the odd
     ones, over the cells of this kind only when one is given.
 
-    Read from the half, or a RowPart's slice of it: cells k and L-1-k
-    share value and kind, and a column parity exactly when L is odd.  In
-    an even row each mirrored pair weighs even + odd; in an odd row the
-    cells left of the middle weigh twice their column's weight and the
-    middle cell once.  So the sums over a row's parts add up to the row's.
+    Read from the row's slice of its half: cells k and L-1-k share value
+    and kind, and a column parity exactly when L is odd.  In an even row
+    each mirrored pair weighs even + odd; in an odd row the cells left of
+    the middle weigh twice their column's weight and the middle cell once.
+    So the sums over a row's slices add up to the row's.
     """
     h, odd_row = divmod(len(row), 2)
     offset, half = row.offset, row.half
@@ -311,31 +303,31 @@ def position_sum(
     return total
 
 
-def part_sums(row: Row | RowPart, even: int = 1, odd: int = 1) -> tuple[int, int, int]:
+def part_sums(row: Row, even: int = 1, odd: int = 1) -> tuple[int, int, int]:
     """position_sum(row, even, odd) over kind A, over kind B and over the whole
     row; B is the total less A and the wingers, the cells of value 1 in
     columns 0 and L-1 (row 0's one cell is its only winger)."""
     size = len(row)
     wingers = even if size == 1 else even + (even if size % 2 else odd)
-    if row.offset:  # only the part at offset 0 holds the wingers
+    if row.offset:  # only the slice at offset 0 holds the wingers
         wingers = 0
     a, total = position_sum(row, even, odd, TYPE_A), position_sum(row, even, odd)
     return a, total - a - wingers, total
 
 
-def row_sums(row: Row | RowPart) -> tuple[int, int, int]:
+def row_sums(row: Row) -> tuple[int, int, int]:
     """(sum over kind-A, sum over kind-B, total sum) of a row with index >= 1."""
     if row.n < 1:
         raise ValueError("row 0 has no winger pair; sums start at row 1")
     return part_sums(row)
 
 
-def central_cell(row: Row | RowPart) -> Cell:
-    """The middle cell of an odd row, the last of its half: read from its last part."""
+def central_cell(row: Row) -> Cell:
+    """The middle cell of an odd row, the last of its half: read from its last slice."""
     m = len(row)
     if m % 2 == 0:
         raise NoCentralCell(f"row {row.n} has {m} cells")
-    return Cell(row.half[m // 2 - row.offset], row.kinds[m // 2])
+    return row.cell(m // 2)
 
 
 def child_edges(kinds: str, q: int) -> Iterator[tuple[int, int]]:

@@ -39,7 +39,6 @@ from .triangle import (
     Cell,
     NoCentralCell,
     Row,
-    RowPart,
     binomial_row,
     central_cell,
     completes,
@@ -96,11 +95,11 @@ class RowReader:
     """What one suite keeps of the rows it reads, never a row.
 
     stream() calls feed(q, row) for each row 0..last[q] of each q, in
-    order, a stream's last row as RowParts in order.  At a row's last part
-    feed keeps keep(row, folded) in kept[q, n], folded being the sum over
-    the row's parts of fold, a read that adds over them, from the part at
-    offset 0 on.  The first failure a read raises is kept in error, for
-    run to fail the suite with, and nothing more is kept.
+    order, a stream's last row as its slices in order.  At a row's last
+    slice feed keeps keep(row, folded) in kept[q, n], folded being the sum
+    over the row's slices of fold, a read that adds over them, from the
+    slice at offset 0 on.  The first failure a read raises is kept in
+    error, for run to fail the suite with, and nothing more is kept.
     """
 
     def __init__(self, last: dict[int, int], keep: Callable, fold: Callable | None = None):
@@ -108,14 +107,14 @@ class RowReader:
         self.folded = None
         self.error: Exception | None = None
 
-    def feed(self, q: int, row: Row | RowPart) -> None:
+    def feed(self, q: int, row: Row) -> None:
         if self.error is None:
             try:
                 self.read(q, row)
             except READ_FAILURES as exc:
                 self.error = exc
 
-    def read(self, q: int, row: Row | RowPart) -> None:
+    def read(self, q: int, row: Row) -> None:
         if self.fold:
             part = self.fold(row)
             self.folded = tuple(map(add, self.folded, part)) if row.offset else part
@@ -181,7 +180,8 @@ def stream(readers: list[RowReader], while_waiting: Callable[[set[int]], None]) 
 def euclidean_oracle() -> str:
     """q = 4 rows 0..20 are exactly Pascal's triangle, with no kind-B cells."""
     for row in generate_rows(4, 20):
-        cells = enumerate(zip_longest(row.values, binomial_row(row.n)))
+        values = (row.cell(k).value for k in range(len(row)))
+        cells = enumerate(zip_longest(values, binomial_row(row.n)))
         k = next((k for k, (got, want) in cells if got != want), None)
         if k is not None:
             raise SuiteFailure(
@@ -289,7 +289,7 @@ def parity(seen: RowReader) -> str:
 def _pattern_rows() -> RowReader:
     """Bit strings of q = 5 rows 0..16, central cells of rows 3k up to 18."""
 
-    def keep(row: Row | RowPart, _) -> tuple[str | None, Cell | None]:
+    def keep(row: Row, _) -> tuple[str | None, Cell | None]:
         bits = pattern.pattern_bits(row.kinds) if row.n <= 16 else None
         return bits, central_cell(row) if row.n % 3 == 0 else None
 
@@ -333,7 +333,7 @@ class PairRows(RowReader):
         self.scanner = locator.PairScanner(pairs)
         super().__init__({5: self.scanner.last_row}, keep=None)
 
-    def read(self, q: int, row: Row | RowPart) -> None:  # the scanner places; none kept
+    def read(self, q: int, row: Row) -> None:  # the scanner places; none kept
         self.scanner.feed(row)
 
     def located(self) -> list[locator.PairLocation]:

@@ -18,7 +18,7 @@ from hpascal.triangle import (
     TYPE_A,
     TYPE_B,
     WINGER,
-    RowPart,
+    Row,
     central_cell,
     generate_rows,
     largest_row_within,
@@ -109,15 +109,15 @@ def test_readers_transient_peak_per_cell(reader, bound):
 
 
 def splits(row):
-    """The row's half cut into parts (offset, chunk) of 1, 2 and 3 cells, into
-    one part, and into two parts the second of which is the last cell alone:
-    the middle cell of an odd row."""
+    """The row's half cut into slices Row(n, chunk, kinds, offset) of 1, 2 and
+    3 cells, into one slice, and into two slices the second of which is the
+    last cell alone: the middle cell of an odd row."""
     half = row.half
     cuts = [[(k, half[k:k + size]) for k in range(0, len(half), size)]
             for size in (1, 2, 3, len(half))]
     if len(half) > 1:
         cuts.append([(0, half[:-1]), (len(half) - 1, half[-1:])])
-    return cuts
+    return [[Row(row.n, chunk, row.kinds, offset) for offset, chunk in cut] for cut in cuts]
 
 
 def test_the_splits_put_the_last_cell_in_a_chunk_of_its_own(swept_rows):
@@ -133,8 +133,7 @@ def test_part_sums_over_any_split_match_the_full_row_reference(swept_rows):
         for even, odd in seeded_weights():
             want = part_sums_reference(row, even, odd)
             for split in splits(row):
-                parts = [part_sums(RowPart(row.n, row.kinds, offset, chunk), even, odd)
-                         for offset, chunk in split]
+                parts = [part_sums(part, even, odd) for part in split]
                 assert tuple(map(sum, zip(*parts))) == want, (q, row.n, even, odd, len(split))
 
 
@@ -142,16 +141,45 @@ def test_the_middle_cell_comes_from_the_last_part(swept_rows):
     for q, row in swept_rows:
         if len(row) % 2:
             for split in splits(row):
-                last = RowPart(row.n, row.kinds, *split[-1])
-                assert central_cell(last) == row.cell(len(row) // 2), (q, row.n, len(split))
+                assert central_cell(split[-1]) == row.cell(len(row) // 2), (q, row.n, len(split))
+
+
+def test_a_slice_reads_the_cells_it_holds_and_their_mirrors_only(swept_rows):
+    for q, row in swept_rows:
+        if len(row) > 30:
+            continue
+        size = len(row)
+        for split in splits(row):
+            for part in split:
+                held = {c for k in range(part.offset, part.offset + len(part.half))
+                        for c in (k, size - 1 - k)}
+                for k in range(-2, size + 2):
+                    if k in held:
+                        assert part.cell(k) == row.cell(k), (q, row.n, part.offset, k)
+                    else:
+                        with pytest.raises(IndexError):
+                            part.cell(k)
+
+
+def test_values_reads_whole_rows_only(swept_rows):
+    for q, row in swept_rows:
+        if len(row) > 30:
+            continue
+        for split in splits(row):
+            if len(split) == 1:
+                assert split[0].values == row.values
+                continue
+            for part in split:
+                with pytest.raises(ValueError, match="is a slice, not a whole row"):
+                    part.values
 
 
 def windows(split):
     """(chunk, offset, cell before it) of each part, as PairScanner reads the parts of a row."""
     before = None
-    for offset, chunk in split:
-        yield chunk, offset, before
-        before = chunk[-1]
+    for part in split:
+        yield part.half, part.offset, before
+        before = part.half[-1]
 
 
 def scan_reference(values, u, v):

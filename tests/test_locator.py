@@ -20,7 +20,7 @@ from hpascal.locator import (
     locate_pairs,
     locate_row,
 )
-from hpascal.triangle import RowPart, nth_row
+from hpascal.triangle import Row, nth_row
 
 
 REVERSED = "reversed"  # the reference scans' marker for a hit on (v, u)
@@ -215,7 +215,7 @@ def test_rows_fed_in_parts_place_pairs_as_whole_rows(rows_q5, size):
     for row in rows_q5[: whole.last_row + 1]:
         whole.feed(row)
         for k in range(0, len(row.half), size):
-            parted.feed(RowPart(row.n, row.kinds, k, row.half[k:k + size]))
+            parted.feed(Row(row.n, row.half[k:k + size], row.kinds, k))
     assert all(out.verified == FULL_ROW for out in whole.outcomes)
     assert parted.outcomes == whole.outcomes
 

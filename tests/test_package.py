@@ -133,11 +133,10 @@ def attribute_reads(attr):
 
 
 def test_only_small_rows_are_read_through_row_values():
-    # Row.values builds a full copy of the row on each access, so large rows
-    # are read through row.half; euclidean_oracle reads rows of a few
-    # hundred cells.  An x.values() call is a dict's, not a row's.
-    allowed = {("triangle.py", "Row.values"), ("verify.py", "euclidean_oracle")}
-    assert attribute_reads("values") <= allowed
+    # Row.values builds a full copy of the row on each access, so every
+    # reader reads row.half or row.cell(k).  An x.values() call is a dict's,
+    # not a row's.
+    assert attribute_reads("values") <= {("triangle.py", "Row.values")}
 
 
 def test_only_triangle_the_writers_and_the_scanner_read_row_half():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hpascal.pattern import (
@@ -45,9 +47,28 @@ def test_recurrence_anchor_case():
     assert check_pattern_recurrence(3)
 
 
-@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("n", range(3, 18))
 def test_recurrence_holds(n):
     assert check_pattern_recurrence(n)
+
+
+def recurrence_reference(n, codes):
+    """The recurrence as stated, over exact rationals."""
+    c_2, c_1, c_0, c_next = codes
+    d_n, d_1, d_2 = c_next - c_0, c_0 - c_1, c_1 - c_2
+    s_n, s_1 = growth_power(n), growth_power(n - 1)
+    return (Fraction(s_n, s_1) + s_n + s_1) * d_1 - Fraction(s_1) ** 2 * d_2 == d_n
+
+
+def test_recurrence_in_integers_agrees_with_the_rational_reference(rows_q5):
+    codes = [int(pattern_bits(row.kinds), 2) for row in rows_q5[:16]]
+    for n in range(3, 15):
+        window = codes[n - 2 : n + 2]
+        assert recurrence_holds(n, window) is recurrence_reference(n, window) is True
+        for i in range(4):  # one code off by one unit
+            for unit in (1, -1):
+                off = [c + unit * (j == i) for j, c in enumerate(window)]
+                assert recurrence_holds(n, off) == recurrence_reference(n, off), (n, i, unit)
 
 
 def test_recurrence_below_range_rejected():
