@@ -5,7 +5,7 @@ never carries numbers that might get read back as floats.
 
 Rows are palindromes that store their left half (see triangle), and so is
 a separator's join of one: the CSV and JSON writers convert a row's half once,
-then write its join forward and mirrored, in slices of WRITE_CHUNK cells.
+then write its join forward and mirrored, in slices of triangle.CHUNK cells.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from __future__ import annotations
 from itertools import chain
 from typing import IO, Iterable, Sequence
 
+from . import triangle
 from .triangle import DEFAULT_CELL_BUDGET, Row, TYPE_A, _Sized, child_edges, generate_rows
-
-WRITE_CHUNK = 2048  # cells a slice: no slice or join is large enough to be mmap'd
 
 
 def _write_joined(cells: Sequence[str], size: int, sep: str, fp: IO[str]) -> None:
     """Write sep.join of a size-cell palindrome; cells begin with its left half."""
-    h, c = (size + 1) // 2, WRITE_CHUNK
+    h, c = (size + 1) // 2, triangle.CHUNK
     fp.write(sep.join(cells[: min(c, h)]))
     for s in range(c, h, c):
         fp.write(sep + sep.join(cells[s : min(s + c, h)]))

@@ -155,41 +155,35 @@ class PairLocation:
     trace: list[DescentStep]
 
 
-def _scan(chunk: list[int], offset: int, before: int | None, size: int, u: int, v: int
-          ) -> int | None:
-    """Column of the leftmost (u, v) that chunk, cells offset.. of the half
-    of a size-cell palindrome, shows with before, the cell left of it.
+def _scan(cells: list[int], start: int, size: int, u: int, v: int) -> int | None:
+    """Column of the leftmost (u, v) in a size-cell palindrome, as far as
+    cells, the cells of its half from column start on, show it.
 
     A palindrome holds (v, u) at column c exactly when it holds (u, v) at
-    size-2-c.  One hop over the occurrences of u in the chunk with
-    list.index, so the per-cell work runs in C, finds the leftmost (u, v)
-    inside the half, else the last (v, u) there, whose mirror is the
-    leftmost (u, v) right of the middle pair.  The pair across the chunk's
-    left edge is read from before, and the chunk that ends the half shows
-    the middle pair.  So when chunks that split a half each come with the
-    cell before them, the least column they give is the half's.
+    size-2-c.  One hop over the occurrences of u in cells with list.index,
+    so the per-cell work runs in C, finds the leftmost (u, v) inside the
+    half, else the last (v, u) there, whose mirror is the leftmost (u, v)
+    right of the middle pair; a run that ends the half shows that pair.
+    So over runs that split a half, each after the first from the cell
+    before it, the least column is the half's.
     """
     middle = (size + 1) // 2 - 1  # column of the pair that straddles the middle
-    edge = (before, chunk[0])  # never a pair when before is None
-    if edge == (u, v):
-        return offset - 1
-    last = offset - 1 if edge == (v, u) else None
-    # a pair at j < stop lies in the chunk and left of the middle pair
-    stop = min(middle - offset, len(chunk) - 1)
+    # a pair at j < stop lies in the run and left of the middle pair
+    stop = min(middle - start, len(cells) - 1)
+    last = None
     j = -1
     try:
         while True:
-            j = chunk.index(u, j + 1)
-            if j < stop and chunk[j + 1] == v:
-                return offset + j
-            if j and chunk[j - 1] == v:
-                last = offset + j - 1
+            j = cells.index(u, j + 1)
+            if j < stop and cells[j + 1] == v:
+                return start + j
+            if j and cells[j - 1] == v:
+                last = start + j - 1
     except ValueError:
         pass
     # the cell right of the half mirrors its second-last cell in an odd row, else its last
-    if size > 1 and offset + len(chunk) == middle + 1:
-        right = chunk[-1] if size % 2 == 0 else chunk[-2] if len(chunk) > 1 else before
-        if (chunk[-1], right) == (u, v):
+    if size > 1 and start + len(cells) == middle + 1:
+        if (cells[-1], cells[-1 - size % 2]) == (u, v):
             return middle
     return None if last is None else size - 2 - last
 
@@ -199,8 +193,8 @@ class PairScanner:
 
     Each pair's row comes from its descent trace.  Feed rows in order up
     to last_row, a row that comes in slices slice by slice; each row is
-    searched for every pair predicted in it, a slice with the last cell
-    before it.
+    searched for every pair predicted in it, a slice after the first from
+    the cell before it, so a pair across two slices is found as any other.
     outcomes[i] is then the PairLocation of the i-th pair, or the
     LocationFailure of a pair missing from its fully scanned row.  Pairs
     whose row exceeds the budget are UNVERIFIED from the start; a budget
@@ -235,15 +229,17 @@ class PairScanner:
             return
         size = len(row)
         middle = (size + 1) // 2 - 1
+        cells, start = row.half, row.offset
+        if start:  # a slice after the first is scanned from the cell before it
+            cells, start = [self._before, *cells], start - 1
         for i, u, v, _ in self._waiting[row.n]:
             if self._cols.get(i, size) >= middle:  # a column left of the middle is final
-                col = _scan(row.half, row.offset, self._before, size, u, v)
+                col = _scan(cells, start, size, u, v)
                 if col is not None:
                     self._cols[i] = min(col, self._cols.get(i, col))
         self._before = row.half[-1]
         if not completes(row):
             return
-        self._before = None
         for i, u, v, trace in self._waiting.pop(row.n, ()):
             col = self._cols.pop(i, None)
             if col is None:

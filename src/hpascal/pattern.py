@@ -11,7 +11,7 @@ row n+3 is a copy of row n, and row 3k carries the central value 2**k.
 Each law is a predicate over pattern codes, bit strings or cells, so a
 caller that already streams the rows (as `verify` does) keeps only
 those.  The index-based checkers stream the kinds they read (for the
-central value, the rows) themselves, in a single pass from row 0.
+central value, rows, the last in slices) themselves, in one pass from row 0.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from . import sequences
+# generate_rows is not called here; it stays a module attribute for tools
+# that wrap the row stream of each module by name
 from .triangle import (
     DEFAULT_CELL_BUDGET,
     Cell,
@@ -28,6 +30,7 @@ from .triangle import (
     central_cell,
     child_kinds,
     generate_rows,
+    read_rows,
 )
 
 _TO_BITS = str.maketrans({"W": "1", "B": "1", "A": "0"})
@@ -135,6 +138,6 @@ def check_central_value(k: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> bool:
     """Row 3k's central cell holds 2**k and has kind B (k >= 1)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    for row in generate_rows(5, 3 * k, cell_budget):  # a value: whole rows
+    for row in read_rows(5, 3 * k, cell_budget):  # the last slice holds the middle
         pass
     return central_value_holds(k, central_cell(row))

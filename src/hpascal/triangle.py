@@ -43,7 +43,7 @@ TYPE_A = "A"
 TYPE_B = "B"
 
 DEFAULT_CELL_BUDGET = 10**7
-CHUNK = 1 << 16  # cells of its left half in each slice of a stream's last row
+CHUNK = 2048  # cells of a half a slice holds, read or written: too few to be mmap'd
 
 # per kind, a bytes.translate table taking that kind to 1 and the others to 0
 _KIND_TABLES = {k: bytes.maketrans(b"WAB", bytes(c == k for c in "WAB")) for k in "WAB"}

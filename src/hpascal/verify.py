@@ -320,9 +320,10 @@ def pattern_checks(seen: RowReader) -> str:
     )
 
 
-# (pair, row, column) of pairs whose cell is known
+# (pair, row, column) of pairs whose cell is known; (241, 179) lies across two slices
 LOCATOR_SPOTS = (
-    ((2, 3), 3, 2), ((3, 5), 4, 2), ((2, 2), 4, 4), ((3, 1), 3, 3), ((4, 6), 6, 28)
+    ((2, 3), 3, 2), ((3, 5), 4, 2), ((2, 2), 4, 4), ((3, 1), 3, 3), ((4, 6), 6, 28),
+    ((241, 179), 18, 28671),
 )
 
 

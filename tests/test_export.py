@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from hpascal import export
+from hpascal import triangle
 from hpascal.export import write_csv, write_dot, write_json
 from hpascal.triangle import generate_rows, largest_row_within, nth_row
 
@@ -136,7 +136,7 @@ def test_lines_written_in_slices_of_any_chunk_match_reference_encoders(
 ):
     # rows 0..10 hold 1- and 2-cell rows, odd and even lengths, and halves
     # that are exact multiples of each chunk
-    monkeypatch.setattr(export, "WRITE_CHUNK", chunk)
+    monkeypatch.setattr(triangle, "CHUNK", chunk)
     rows = list(generate_rows(q, 10))
     assert {(len(row) + 1) // 2 % chunk for row in rows} == set(range(chunk))
     assert written(writer, rows) == reference(rows)
@@ -146,7 +146,7 @@ def test_lines_written_in_slices_of_any_chunk_match_reference_encoders(
 def test_writers_transient_peak_is_under_4_5_bytes_a_cell(writer):
     # a list of every cell's decimal string alone takes 8 bytes a cell; the
     # writers hold a list of the left half's (4 bytes a cell) and write each
-    # line in slices of export.WRITE_CHUNK cells, so no joined half is built
+    # line in slices of triangle.CHUNK cells, so no joined half is built
     row = nth_row(5, 16)  # 832,042 cells
     tracemalloc.start()
     try:

@@ -175,10 +175,11 @@ def test_values_reads_whole_rows_only(swept_rows):
 
 
 def windows(split):
-    """(chunk, offset, cell before it) of each part, as PairScanner reads the parts of a row."""
+    """(cells, start) of each part, as PairScanner scans the parts of a row:
+    a part after the first from the cell before it."""
     before = None
     for part in split:
-        yield part.half, part.offset, before
+        yield ([before, *part.half], part.offset - 1) if part.offset else (part.half, 0)
         before = part.half[-1]
 
 
@@ -199,7 +200,7 @@ def test_scans_over_any_split_match_the_full_row_reference(swept_rows):
                 continue
             for u, v in probes:
                 want = scan_reference(values, u, v)
-                # one part at a time, each after the cell before it: the least column
+                # a run per part, each after the first from the cell before it: the least column
                 cols = [_scan(*w, len(row), u, v) for w in windows(split)]
                 assert min((c for c in cols if c is not None), default=None) == want, (
                     q, row.n, u, v, len(split))

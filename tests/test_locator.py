@@ -168,9 +168,9 @@ def test_scan_matches_reference_including_mirror_hits():
         size = 2 * len(half) - rng.randint(0, 1)
         values = half + half[: size // 2][::-1]
         u, v = rng.randint(1, 5), rng.randint(1, 5)
-        assert _scan(half, 0, None, size, u, v) == reference_column(reference_scan(values, u, v)), (
+        assert _scan(half, 0, size, u, v) == reference_column(reference_scan(values, u, v)), (
             values, u, v)
-    assert _scan([3, 1, 2, 4], 0, None, 8, 2, 1) == 5  # in 3 1 2 4 4 2 1 3
+    assert _scan([3, 1, 2, 4], 0, 8, 2, 1) == 5  # in 3 1 2 4 4 2 1 3
 
 
 def scan_reference(values, u, v):
@@ -200,7 +200,7 @@ def test_half_scan_matches_the_full_row_scan_on_q5_rows(rows_q5):
         probes = {*pairs, *((v, u) for u, v in pairs), *((u, u) for u, _ in pairs),
                   *((u, v + 1) for u, v in pairs)}
         for u, v in probes:
-            col = _scan(row.half, 0, None, len(row), u, v)
+            col = _scan(row.half, 0, len(row), u, v)
             assert col == reference_column(scan_reference(values, u, v)), (row.n, u, v)
             if col is not None:
                 assert (values[col], values[col + 1]) == (u, v)

@@ -91,10 +91,11 @@ def one_shot_peak_mb(args):
 @pytest.mark.parametrize("args", [
     ["verify"],
     ["sums", "--q", "6", "--n", "14", "--method", "generate"],
+    ["pattern", "--n", "6", "--check", "central-value"],
 ], ids=lambda args: args[0])
 def test_one_shot_commands_peak_under_62_mb(args):
     # the last row of a stream is read in parts and never stored: storing it,
-    # these peaked at 74.9 MB (verify, caller or forked worker) and 76.7 MB
+    # these peaked at 74.9 MB (verify, caller or forked worker), 76.7 MB and 72.9 MB
     code, peak_mb = one_shot_peak_mb(args)
     assert code == 0
     assert peak_mb < 62

@@ -326,6 +326,30 @@ def test_a_misplaced_spot_pair_names_its_cell(monkeypatch):
     assert (result.passed, result.detail) == (False, "spot pair (4,6): got row 6 col 28")
 
 
+def test_a_scanner_that_forgets_the_cell_before_a_slice_fails_locator(monkeypatch):
+    # (241, 179) is in row 18 only as its cells 28,671 and 28,672, the last
+    # of one slice and the first of the next, so the carried cell finds it
+    feed = locator.PairScanner.feed
+
+    def forgetful(scanner, row):
+        scanner._before = None
+        feed(scanner, row)
+
+    monkeypatch.setattr(locator.PairScanner, "feed", forgetful)
+    (result,) = verify.run(["locator"])
+    assert (result.passed, result.detail) == (
+        False, "location failure: pair (241, 179) not adjacent anywhere in row 18")
+
+
+def test_the_boundary_spot_pair_straddles_two_slices_of_the_top_q5_row():
+    # another CHUNK moves the slice boundaries: this spot then needs a new pair
+    ((_, n, col),) = [spot for spot in verify.LOCATOR_SPOTS if spot[0] == (241, 179)]
+    assert (col + 1) % triangle.CHUNK == 0
+    # row 18 is the last q = 5 row any suite reads, so it comes in slices
+    tops = [reader().last.get(5, -1) for reader in verify.ROW_READERS.values()]
+    assert n == verify._locator_rows().last[5] == max(tops)
+
+
 def test_a_wrong_elimination_names_its_system(monkeypatch):
     influence = linrec.CoupledSystem(-4, -8, -6, 2, 4, 2)
     original = linrec.eliminate
