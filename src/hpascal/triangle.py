@@ -136,41 +136,47 @@ def _fill(q: int) -> dict[str, int]:
     return {WINGER: 0, TYPE_A: q - 4, TYPE_B: q - 3}  # copies a parent drops
 
 
-def _slot_word(kinds: str, q: int) -> bytes:
-    """The slots under a row: the new wingers at the ends and, for each parent
-    but the right winger, q-3 copy slots then its merge with the next, each
-    holding its child's kind, or 0 where a parent drops fewer copies."""
-    word = f"{WINGER}{kinds[:-1].lower()}{WINGER}".encode()
+def _slots(parents: str, q: int, empty: str = "\0") -> str:
+    """parents, each parent's kind in lower case, with each parent replaced by
+    the slots under it: q-3 copy slots then its merge with the next, each
+    holding its child's kind, or empty where the parent drops fewer copies.
+    Upper-case kinds stay as they are."""
     for kind, k in _fill(q).items():
-        pattern = b"\0" * (q - 3 - k) + (TYPE_B * k + TYPE_A).encode()
-        word = word.replace(kind.lower().encode(), pattern)
-    return word
+        parents = parents.replace(kind.lower(), empty * (q - 3 - k) + TYPE_B * k + TYPE_A)
+    return parents
 
 
 def child_kinds(kinds: str, q: int) -> str:
-    """The kinds of the child of a row with these kinds: its slot word's filled slots."""
+    """The kinds of the child of a row with these kinds: the new wingers at the
+    ends and between them the children of each parent but the right winger."""
     _check_q(q)
-    return _slot_word(kinds, q).replace(b"\0", b"").decode()
+    return _slots(f"{WINGER}{kinds[:-1].lower()}{WINGER}", q, "")
 
 
 def child_half(row: Row, q: int) -> tuple[str, Iterator[int]]:
     """The kinds of row's child, a palindrome as row is, and an iterator that
     builds the values of the child's left half.
 
-    The child's half reads cells 0..ceil(m/2) of an m-cell parent: its half
-    and cell ceil(m/2).  That cell is half[-1] when m is even; when m is odd
-    only its merge reads it, which falls right of the child's middle, so
-    half[-1] stands in for it there too.
+    The child's half reads cells 0..ceil(m/2) of an m-cell parent: the slots
+    of its half and cell ceil(m/2) for the last merge.  That cell is half[-1]
+    when m is even; when m is odd its merge falls right of the child's
+    middle, so half[-1] stands in for it there too.
     """
-    _check_q(q)
-    # kinds first and no copy of row.half: both keep the locator's peak low
-    word = _slot_word(row.kinds, q)
-    kinds = word.replace(b"\0", b"").decode()
-    half, extra = row.half, row.half[-1:]
-    copies = [chain(half, extra) for _ in range(q - 3)]
-    merges = map(add, chain(half, extra), chain(islice(half, 1, None), extra))
-    slots = chain((1,), chain.from_iterable(zip(*copies, merges)))
-    return kinds, islice(compress(slots, word), (len(kinds) + 1) // 2)
+    # kinds first, then values a block at a time: no slot word or copy of half is whole
+    kinds = child_kinds(row.kinds, q)
+    half, extra, w = row.half, row.half[-1:], q - 2
+    b = max(CHUNK // w, 1)  # parents a block, so a block holds CHUNK slots
+
+    def block(i: int) -> Iterator[int]:  # the children of parents i..i+b-1, by their own slots
+        cells = half[i : i + b]
+        slots = [1] * (w * len(cells))
+        for j in range(w - 1):
+            slots[j::w] = cells
+        slots[w - 1 :: w] = map(add, cells, chain(half[i + 1 : i + b + 1], extra))
+        return compress(slots, _slots(row.kinds[i : i + b].lower(), q).encode())
+
+    cells = chain((1,), chain.from_iterable(map(block, range(0, len(half), b))))
+    return kinds, islice(cells, (len(kinds) + 1) // 2)
 
 
 def next_row(row: Row, q: int) -> Row:

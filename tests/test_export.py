@@ -128,25 +128,39 @@ class Discard:
         pass
 
 
+CHUNK_SWEEP = [1, 2, 3, 5]
+
+
+def chunk_sweep_rows(q):
+    """Rows 0..10 of q, or as many as fit in 10^5 cells: 1- and 2-cell rows, odd and even lengths."""
+    return list(generate_rows(q, min(10, largest_row_within(q, 10**5))))
+
+
+def test_the_chunk_sweep_puts_every_slice_remainder_in_some_row():
+    # a half of h cells ends in a slice of h % chunk cells, or of chunk when
+    # that is 0; each remainder, 0 included, shows up in some q's rows
+    halves = [(len(row) + 1) // 2 for q in (4, 5, 6, 7, 10) for row in chunk_sweep_rows(q)]
+    for chunk in CHUNK_SWEEP:
+        assert {h % chunk for h in halves} == set(range(chunk))
+
+
 @WRITERS
-@pytest.mark.parametrize("chunk", [1, 2, 3])
-@pytest.mark.parametrize("q", [5, 6])
+@pytest.mark.parametrize("chunk", CHUNK_SWEEP)
+@pytest.mark.parametrize("q", [4, 5, 6, 7, 10])
 def test_lines_written_in_slices_of_any_chunk_match_reference_encoders(
     monkeypatch, writer, reference, chunk, q
 ):
-    # rows 0..10 hold 1- and 2-cell rows, odd and even lengths, and halves
-    # that are exact multiples of each chunk
     monkeypatch.setattr(triangle, "CHUNK", chunk)
-    rows = list(generate_rows(q, 10))
-    assert {(len(row) + 1) // 2 % chunk for row in rows} == set(range(chunk))
+    rows = chunk_sweep_rows(q)
+    assert max(len(row) for row in rows) > 2 * chunk  # lines of several slices
     assert written(writer, rows) == reference(rows)
 
 
 @pytest.mark.parametrize("writer", [write_csv, write_json])
-def test_writers_transient_peak_is_under_4_5_bytes_a_cell(writer):
-    # a list of every cell's decimal string alone takes 8 bytes a cell; the
-    # writers hold a list of the left half's (4 bytes a cell) and write each
-    # line in slices of triangle.CHUNK cells, so no joined half is built
+def test_writers_transient_peak_is_under_half_a_byte_a_cell(writer):
+    # a list of the left half's decimal strings alone takes 4 bytes a cell
+    # (it read 4.1); the writers convert each slice of triangle.CHUNK cells
+    # as they write it, through one table of the line's distinct decimals
     row = nth_row(5, 16)  # 832,042 cells
     tracemalloc.start()
     try:
@@ -154,4 +168,4 @@ def test_writers_transient_peak_is_under_4_5_bytes_a_cell(writer):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (peak - held) / len(row) < 4.5
+    assert (peak - held) / len(row) < 0.5

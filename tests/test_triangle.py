@@ -262,13 +262,31 @@ def test_row_kinds_rejects_what_generate_rows_rejects(q, n, budget, error):
             call()
 
 
-@pytest.mark.parametrize("q", range(4, 31))
-def test_next_row_matches_the_cell_by_cell_builder(q):
+def assert_rows_match_the_cell_by_cell_builder(q):
+    """Rows built and read at the current triangle.CHUNK equal the reference's."""
     expected = initial_row()
     # q = 4 rows grow by one cell a row, so cap the depth as well as the size
-    for row in generate_rows(q, min(40, largest_row_within(q, 20000))):
+    n_max = min(40, largest_row_within(q, 20000))
+    for row in generate_rows(q, n_max):
         assert (row.n, row.values, row.kinds) == (expected.n, expected.values, expected.kinds)
         expected = reference_next_row(expected, q)
+    # the last row of a stream comes as slices, each built as it is read
+    parts = [part for part in read_rows(q, n_max) if part.n == n_max]
+    assert [value for part in parts for value in part.half] == row.half
+
+
+@pytest.mark.parametrize("q", range(4, 31))
+def test_next_row_matches_the_cell_by_cell_builder(q):
+    assert_rows_match_the_cell_by_cell_builder(q)
+
+
+@pytest.mark.parametrize("q", range(4, 31))
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+def test_next_row_matches_the_cell_by_cell_builder_in_blocks_of_any_chunk(monkeypatch, chunk, q):
+    # a child is built in blocks of CHUNK // (q - 2) parents, one at the least,
+    # so these sizes put a block boundary after every parent or every few
+    monkeypatch.setattr(triangle, "CHUNK", chunk)
+    assert_rows_match_the_cell_by_cell_builder(q)
 
 
 @settings(deadline=None)
@@ -322,6 +340,21 @@ def test_next_row_never_copies_its_parent_values_into_an_even_child():
         tracemalloc.stop()
     assert len(child) % 2 == 0
     assert (peak - held) / len(parent) <= 4
+
+
+def test_next_row_builds_its_child_block_by_block():
+    # the child's kinds come before its values, and its values are built a
+    # block of triangle.CHUNK slots at a time under that block's own slot
+    # word; one slot word under the whole parent read 3.03 bytes a parent cell
+    parent = nth_row(5, 15)  # 317,811 cells
+    tracemalloc.start()
+    try:
+        child = next_row(parent, 5)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(child) > len(parent)
+    assert (peak - held) / len(parent) <= 0.5
 
 
 def test_a_kept_child_stores_only_its_left_half():
