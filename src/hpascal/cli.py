@@ -21,7 +21,7 @@ from .triangle import (
     DEFAULT_CELL_BUDGET,
     generate_rows,
     kind_counts,
-    position_sum,
+    part_sums,
     read_rows,
     row_kinds,
     row_sums,
@@ -115,7 +115,7 @@ def cmd_altsum(args, fp) -> int:
     else:
         value = sequences.alt_sum(args.n)
     if args.cross_check:
-        direct = sum(position_sum(row, v, w) for row in _parts(5, args.n, args.budget))
+        direct = sum(part_sums(row, v, w)[2] for row in _parts(5, args.n, args.budget))
         fp.write(f"formula: {value}\nrow: {direct}\n")
         return _verdict(fp, direct == value)
     if args.json:

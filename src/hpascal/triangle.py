@@ -45,8 +45,8 @@ TYPE_B = "B"
 DEFAULT_CELL_BUDGET = 10**7
 CHUNK = 2048  # cells of a half a slice holds, read or written: too few to be mmap'd
 
-# per kind, a bytes.translate table taking that kind to 1 and the others to 0
-_KIND_TABLES = {k: bytes.maketrans(b"WAB", bytes(c == k for c in "WAB")) for k in "WAB"}
+# a bytes.translate table taking kind A to 1 and the other kinds to 0
+_A_TABLE = bytes.maketrans(b"WAB", b"\0\1\0")
 
 
 class BudgetExceeded(Exception):
@@ -279,45 +279,40 @@ def row_counts(row: Row) -> tuple[int, int, int]:
     return kind_counts(row.n, row.kinds)
 
 
-def position_sum(row: Row, even: int = 1, odd: int = 1, kind: str | None = None) -> int:
-    """Sum of even * value over the even columns and odd * value over the odd
-    ones, over the cells of this kind only when one is given.
+def part_sums(row: Row, even: int = 1, odd: int = 1) -> tuple[int, int, int]:
+    """Sums of even * value over the even columns and odd * value over the
+    odd ones, over kind A, over kind B and over the whole row.
 
     Read from the row's slice of its half: cells k and L-1-k share value
     and kind, and a column parity exactly when L is odd.  In an even row
     each mirrored pair weighs even + odd; in an odd row the cells left of
     the middle weigh twice their column's weight and the middle cell once.
-    So the sums over a row's slices add up to the row's.
+    So the sums over a row's slices add up to the row's.  B is the total
+    less A and the wingers, the cells of value 1 in columns 0 and L-1
+    (row 0's one cell is its only winger), which the slice at offset 0 holds.
     """
-    h, odd_row = divmod(len(row), 2)
-    offset, half = row.offset, row.half
+    size, offset, half = len(row), row.offset, row.half
+    h, odd_row = divmod(size, 2)
     end = offset + len(half)
-    mask = kind and row.kinds[offset:end].encode("ascii").translate(_KIND_TABLES[kind])
-
-    def fold(start: int = 0, step: int = 1) -> int:  # half[start::step], of the kind
-        cells = half if step == 1 else islice(half, start, None, step)
-        return sum(cells if mask is None else compress(cells, mask[start::step]))
-
-    if not odd_row:
-        total = (even + odd) * fold()
-    elif even == odd:
-        total = 2 * even * fold()
+    mask = row.kinds[offset:end].encode("ascii").translate(_A_TABLE)
+    if not odd_row or even == odd:  # every mirrored pair weighs even + odd
+        strides = [(even + odd, 0, 1)]
     else:  # column offset + i is even for i of offset's parity
-        total = 2 * (even * fold(offset % 2, 2) + odd * fold(1 - offset % 2, 2))
-    if odd_row and end == h + 1 and kind in (None, row.kinds[h]):
-        total -= half[-1] * (odd if h % 2 else even)  # the middle cell weighs once
-    return total
+        strides = [(2 * even, offset % 2, 2), (2 * odd, 1 - offset % 2, 2)]
 
+    def fold(masked: bool) -> int:  # the weighted half, its kind-A cells only if masked
+        total = 0
+        for weight, start, step in strides:
+            cells = half if step == 1 else islice(half, start, None, step)
+            total += weight * sum(compress(cells, mask[start::step]) if masked else cells)
+        return total
 
-def part_sums(row: Row, even: int = 1, odd: int = 1) -> tuple[int, int, int]:
-    """position_sum(row, even, odd) over kind A, over kind B and over the whole
-    row; B is the total less A and the wingers, the cells of value 1 in
-    columns 0 and L-1 (row 0's one cell is its only winger)."""
-    size = len(row)
-    wingers = even if size == 1 else even + (even if size % 2 else odd)
-    if row.offset:  # only the slice at offset 0 holds the wingers
-        wingers = 0
-    a, total = position_sum(row, even, odd, TYPE_A), position_sum(row, even, odd)
+    a, total = fold(True), fold(False)
+    if odd_row and end == h + 1:  # the middle cell weighs once
+        middle = half[-1] * (odd if h % 2 else even)
+        total -= middle
+        a -= middle if row.kinds[h] == TYPE_A else 0
+    wingers = 0 if offset else even if size == 1 else even + (even if odd_row else odd)
     return a, total - a - wingers, total
 
 

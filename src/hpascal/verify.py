@@ -15,7 +15,7 @@ dropped.  The calling process streams q = 5 while one forked worker
 streams the larger q's; while the worker finishes, the caller runs the
 suites that read no rows or only q = 5 rows, so only the suites that
 read the worker's rows run after the merge; if the worker dies, those
-suites fail, as does a suite whose reader a malformed row breaks.  The
+suites fail, as does a suite whose reader raises on a row.  The
 suites that read closed forms share one table per run, so each closed
 form is evaluated once.
 """
@@ -37,7 +37,6 @@ from .quadfield import NotIntegralError, NotRationalError
 from .triangle import (
     DEFAULT_CELL_BUDGET,
     Cell,
-    NoCentralCell,
     Row,
     binomial_row,
     central_cell,
@@ -87,10 +86,6 @@ CHECK_FAILURES = (
 )
 
 
-# what a reader raises on a malformed row: a failed check, or no middle cell
-READ_FAILURES = (*CHECK_FAILURES, NoCentralCell)
-
-
 class RowReader:
     """What one suite keeps of the rows it reads, never a row.
 
@@ -98,21 +93,24 @@ class RowReader:
     order, a stream's last row as its slices in order.  At a row's last
     slice feed keeps keep(row, folded) in kept[q, n], folded being the sum
     over the row's slices of fold, a read that adds over them, from the
-    slice at offset 0 on.  The first failure a read raises is kept in
-    error, for run to fail the suite with, and nothing more is kept.
+    slice at offset 0 on.  The first exception but MemoryError a read
+    raises is kept in error as SuiteFailure("Type: message"), for run to
+    fail the suite with alike in either process, and nothing more is kept.
     """
 
     def __init__(self, last: dict[int, int], keep: Callable, fold: Callable | None = None):
         self.last, self.keep, self.fold, self.kept = last, keep, fold, {}
         self.folded = None
-        self.error: Exception | None = None
+        self.error: SuiteFailure | None = None
 
     def feed(self, q: int, row: Row) -> None:
         if self.error is None:
             try:
                 self.read(q, row)
-            except READ_FAILURES as exc:
-                self.error = exc
+            except MemoryError:
+                raise
+            except Exception as exc:
+                self.error = SuiteFailure(f"{type(exc).__name__}: {exc}")
 
     def read(self, q: int, row: Row) -> None:
         if self.fold:
@@ -145,6 +143,7 @@ def stream(readers: list[RowReader], while_waiting: Callable[[set[int]], None]) 
     import multiprocessing  # here, so that importing the CLI does not load it
 
     qs = sorted({q for r in readers for q in r.last})
+    # on one CPU a worker saves no time, and two processes hold more memory than one
     if (len(qs) < 2 or (os.cpu_count() or 1) < 2
             or "fork" not in multiprocessing.get_all_start_methods()):
         _stream(readers, qs)
@@ -487,8 +486,9 @@ CLOSED_FORM_READERS = ("three-way", "exactness")
 def run(names: Iterable[str] | None = None) -> list[CheckResult]:
     """Run the named suites (all by default), streaming their rows once.
 
-    A suite that raises fails with the exception's message as its detail
-    (named by type unless it is a SuiteFailure); the rest still run.
+    A suite that raises a SuiteFailure or a CHECK_FAILURES type, or whose
+    reader raised, fails with the exception's message as its detail (named
+    by type unless it is a SuiteFailure); the rest still run.
     While a forked worker streams rows, the caller runs every suite that
     reads no rows or only rows the caller streamed; the rest run after
     the merge.  The results come in the order named.
@@ -513,7 +513,7 @@ def run(names: Iterable[str] | None = None) -> list[CheckResult]:
             passed, detail = True, SUITES[name](*args)
         except SuiteFailure as exc:
             passed, detail = False, str(exc)
-        except READ_FAILURES as exc:
+        except CHECK_FAILURES as exc:
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         return CheckResult(name, passed, detail)
 

@@ -1,6 +1,5 @@
-"""position_sum, and part_sums, row_sums and alt_triple_from_row through it,
-read a row's left half and middle cell; so do locator._scan and
-central_cell.
+"""part_sums, and row_sums and alt_triple_from_row through it, read a row's
+left half and middle cell; so do locator._scan and central_cell.
 
 Each takes a row from next_row, a palindrome, and reads only its left half
 plus the middle cell of an odd row, whole or a part at a time.  The
@@ -17,14 +16,12 @@ from hpascal.sequences import AltTriple, alt_triple_from_row
 from hpascal.triangle import (
     TYPE_A,
     TYPE_B,
-    WINGER,
     Row,
     central_cell,
     generate_rows,
     largest_row_within,
     nth_row,
     part_sums,
-    position_sum,
     row_sums,
 )
 
@@ -82,14 +79,6 @@ def test_alt_triples_match_the_full_row_reference(swept_rows):
         triple = alt_triple_from_row(row)
         assert triple == AltTriple(*part_sums(row, 1, -1)), (q, row.n)
         assert triple == part_sums_reference(row, 1, -1), (q, row.n)
-
-
-def test_position_sums_match_the_full_row_reference(swept_rows):
-    for q, row in swept_rows:
-        for even, odd in seeded_weights():
-            for kind in (None, TYPE_A, TYPE_B, WINGER):
-                assert position_sum(row, even, odd, kind) == position_sum_reference(
-                    row, even, odd, kind), (q, row.n, even, odd, kind)
 
 
 @pytest.mark.parametrize(

@@ -143,7 +143,7 @@ def test_only_small_rows_are_read_through_row_values():
 
 
 def test_only_triangle_the_writers_and_the_scanner_read_row_half():
-    # a row's sums are folded from its left half by triangle.position_sum
+    # a row's sums are folded from its left half by triangle.part_sums
     # alone; the CSV and JSON writers and the locator's scan read it as is
     allowed = {("export.py", "write_csv"), ("export.py", "write_json"),
                ("locator.py", "PairScanner.feed")}
