@@ -10,6 +10,7 @@ digits they have.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import sys
@@ -52,6 +53,37 @@ class _Output:
             self.fp.close()
 
 
+_STR_BITS = 30_000  # str() is as fast below this width, and the split halves stop at it
+
+
+def _decimal_str(value: int) -> str:
+    """str(value), in sub-quadratic time: CPython 3.11's str() of an int is
+    quadratic in its digits, and the decimal module's multiply is not.  The
+    bits split in halves down to _STR_BITS; the halves join, exactly, by a
+    multiply by 2**w, one per width."""
+    if value.bit_length() < _STR_BITS:
+        return str(value)
+    powers = {}
+
+    def power(w):
+        if w not in powers:
+            powers[w] = (decimal.Decimal(1 << w) if w < _STR_BITS
+                         else power(w >> 1) * power(w - (w >> 1)))
+        return powers[w]
+
+    def convert(x, width):  # 0 <= x < 2**width
+        if width < _STR_BITS:
+            return decimal.Decimal(x)
+        half = width >> 1
+        hi = x >> half
+        return convert(hi, width - half) * power(half) + convert(x - (hi << half), half)
+
+    exact = decimal.Context(decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        digits = format(convert(abs(value), value.bit_length()), "f")
+    return "-" + digits if value < 0 else digits
+
+
 def _print_json(obj, fp) -> None:
     fp.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
@@ -84,6 +116,10 @@ def _verdict(fp, agree: bool) -> int:
     return EXIT_OK if agree else EXIT_FAIL
 
 
+def _fields(keys, triple) -> str:
+    return " ".join(f"{k}={_decimal_str(v)}" for k, v in zip(keys, triple))
+
+
 def _run_triple_command(kind: str, args, fp) -> int:
     keys = ("a", "b", "s") if kind == "counts" else ("sumA", "sumB", "sum")
     if args.cross_check:
@@ -94,17 +130,15 @@ def _run_triple_command(kind: str, args, fp) -> int:
             m: _triple_by_method(kind, args.q, args.n, m, args.budget) for m in methods
         }
         for m, triple in results.items():
-            fp.write(
-                f"{m}: " + " ".join(f"{k}={v}" for k, v in zip(keys, triple)) + "\n"
-            )
+            fp.write(f"{m}: {_fields(keys, triple)}\n")
         return _verdict(fp, len(set(results.values())) == 1)
     triple = _triple_by_method(kind, args.q, args.n, args.method, args.budget)
     if args.json:
         obj = {"q": args.q, "n": args.n}
-        obj.update({k: str(v) for k, v in zip(keys, triple)})
+        obj.update({k: _decimal_str(v) for k, v in zip(keys, triple)})
         _print_json(obj, fp)
     else:
-        fp.write(" ".join(f"{k}={v}" for k, v in zip(keys, triple)) + "\n")
+        fp.write(f"{_fields(keys, triple)}\n")
     return EXIT_OK
 
 
@@ -116,19 +150,19 @@ def cmd_altsum(args, fp) -> int:
         value = sequences.alt_sum(args.n)
     if args.cross_check:
         direct = sum(part_sums(row, v, w)[2] for row in _parts(5, args.n, args.budget))
-        fp.write(f"formula: {value}\nrow: {direct}\n")
+        fp.write(f"formula: {_decimal_str(value)}\nrow: {_decimal_str(direct)}\n")
         return _verdict(fp, direct == value)
     if args.json:
-        _print_json({"n": args.n, "value": str(value)}, fp)
+        _print_json({"n": args.n, "value": _decimal_str(value)}, fp)
     else:
-        fp.write(f"{value}\n")
+        fp.write(f"{_decimal_str(value)}\n")
     return EXIT_OK
 
 
 def cmd_pattern(args, fp) -> int:
     if args.check == "phi":
         value = pattern.pattern_int(args.n, args.budget)
-        fp.write(f"{value}\n{value:b}\n")
+        fp.write(f"{_decimal_str(value)}\n{value:b}\n")
         return EXIT_OK
     checker = {
         "prefix": pattern.check_prefix,
@@ -143,8 +177,8 @@ def cmd_pattern(args, fp) -> int:
 
 def _location_as_json(loc: locator.PairLocation) -> dict:
     return {
-        "u": str(loc.u),
-        "v": str(loc.v),
+        "u": _decimal_str(loc.u),
+        "v": _decimal_str(loc.v),
         "row": loc.row,
         "col": loc.col if loc.col is not None else "symbolic",
         "verified": loc.verified,

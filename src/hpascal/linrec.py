@@ -19,7 +19,8 @@ characteristic polynomial of the coupling matrix [[a1, b1], [a2, b2]],
 and the extra root 1 absorbs the constants, so no nonvanishing
 hypothesis on the coefficients is needed; degenerate couplings
 (a2*b1 = 0) simply satisfy shorter recurrences as well.  Coefficients
-are kept as exact rationals throughout.
+are kept as exact rationals throughout, but for `advance`, which steps an
+integer system k times in O(log k) products of ints.
 """
 
 from __future__ import annotations
@@ -48,6 +49,32 @@ class CoupledSystem:
             self.a1 * x + self.b1 * y + self.c1,
             self.a2 * x + self.b2 * y + self.c2,
         )
+
+
+def advance(system: tuple[int, ...], k: int) -> tuple[int, int]:
+    """(x, y) after k steps of the integer system (a1, b1, c1, a2, b2, c2) from (0, 0).
+
+    The affine matrix [[a1, b1, c1], [a2, b2, c2], [0, 0, 1]] is raised to
+    the k-th power from the top bit of k down: one squaring per lower bit,
+    then, on a set bit, one step of the system, whose entries are small.
+    Its last row stays (0, 0, 1), so only the six entries above it are
+    kept; (x, y) is the power's last column.
+    """
+    if k < 0:
+        raise ValueError(f"step count must be nonnegative, got {k}")
+    if k == 0:
+        return 0, 0
+    a1, b1, c1, a2, b2, c2 = p = system
+    for bit in bin(k)[3:]:
+        x1, y1, z1, x2, y2, z2 = p
+        cross, trace = y1 * x2, x1 + y2
+        p = (x1 * x1 + cross, y1 * trace, x1 * z1 + y1 * z2 + z1,
+             x2 * trace, y2 * y2 + cross, x2 * z1 + y2 * z2 + z2)
+        if bit == "1":
+            x1, y1, z1, x2, y2, z2 = p
+            p = (a1 * x1 + b1 * x2, a1 * y1 + b1 * y2, a1 * z1 + b1 * z2 + c1,
+                 a2 * x1 + b2 * x2, a2 * y1 + b2 * y2, a2 * z1 + b2 * z2 + c2)
+    return p[2], p[5]
 
 
 class TernaryCoeffs(NamedTuple):

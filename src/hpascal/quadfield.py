@@ -114,8 +114,9 @@ class QuadElem:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the top bit
+                base = base * base
         return out
 
     def conjugate(self) -> QuadElem:

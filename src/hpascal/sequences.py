@@ -3,8 +3,11 @@
 Each quantity is computed by three independent routes that must agree
 exactly:
 
-  * the coupled first-order system that the growing rule induces,
-  * the ternary recurrence obtained by eliminating the coupling,
+  * the coupled first-order system that the growing rule induces
+    (triangle.count_system, triangle.sum_system), advanced n - 1 rows at
+    once as a matrix power by repeated squaring (linrec.advance),
+  * the ternary recurrence obtained by eliminating the coupling, streamed
+    term by term,
   * the closed form, evaluated in exact quadratic-field arithmetic.
 
 Counts (a_n kind-A cells, b_n kind-B cells, s_n = a_n + b_n + 2 cells in
@@ -24,8 +27,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple
 
+from .linrec import advance
 from .quadfield import QuadElem
-from .triangle import Row, _check_q, _coupled_counts, part_sums
+from .triangle import Row, _check_q, count_system, part_sums, sum_system
 
 
 class DegenerateDiscriminant(ValueError):
@@ -68,15 +72,13 @@ def _check_args(q: int, n: int) -> None:
 
 def counts_coupled(q: int, n: int) -> CountTriple:
     _check_args(q, n)
-    a, b = next(islice(_coupled_counts(q), n - 1, None))
+    a, b = advance(count_system(q), n - 1)
     return CountTriple(a, b, a + b + 2)
 
 
 def sums_coupled(q: int, n: int) -> SumTriple:
     _check_args(q, n)
-    a = b = 0
-    for _ in range(n - 1):
-        a, b = 2 * a + 2 * b + 2, (q - 4) * a + (q - 3) * b
+    a, b = advance(sum_system(q), n - 1)
     return SumTriple(a, b, a + b + 2)
 
 

@@ -186,12 +186,26 @@ def next_row(row: Row, q: int) -> Row:
     return Row(row.n + 1, list(_Sized(cells, (len(kinds) + 1) // 2)), kinds)
 
 
+def count_system(q: int) -> tuple[int, ...]:
+    """The growing rule on a row's kind-A and kind-B counts (a, b), as the coupled
+    system (a1, b1, c1, a2, b2, c2) with a' = a1 a + b1 b + c1 and
+    b' = a2 a + b2 b + c2: one merge per adjacent pair, and q-4 or q-3 copies."""
+    return (1, 1, 1, q - 4, q - 3, 0)
+
+
+def sum_system(q: int) -> tuple[int, ...]:
+    """The same on the kind-A and kind-B value sums: every parent's value goes
+    into two merges, but each winger's (1) into one."""
+    return (2, 2, 2, q - 4, q - 3, 0)
+
+
 def _coupled_counts(q: int) -> Iterator[tuple[int, int]]:
     """Kind-A and kind-B counts (a, b) of rows 1, 2, ...; row n has a + b + 2 cells."""
+    a1, b1, c1, a2, b2, c2 = count_system(q)
     a = b = 0
     while True:
         yield a, b
-        a, b = a + b + 1, (q - 4) * a + (q - 3) * b
+        a, b = a1 * a + b1 * b + c1, a2 * a + b2 * b + c2
 
 
 def largest_row_within(q: int, cell_budget: int) -> int:

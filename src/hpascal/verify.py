@@ -41,11 +41,13 @@ from .triangle import (
     binomial_row,
     central_cell,
     completes,
+    count_system,
     generate_rows,
     largest_row_within,
     read_rows,
     row_counts,
     row_sums,
+    sum_system,
 )
 
 AGREEMENT_QS = (5, 6, 7, 10)
@@ -408,10 +410,10 @@ def embeddings(seen: PairRows) -> str:
 def elimination() -> str:
     """Coupled-to-ternary elimination: named systems and random round trips."""
     for q in range(4, 13):
-        got = linrec.eliminate(linrec.CoupledSystem(1, 1, 1, q - 4, q - 3, 0))
+        got = linrec.eliminate(linrec.CoupledSystem(*count_system(q)))
         if got != (q - 1, -(q - 1), 1):
             raise SuiteFailure(f"count system at q={q}: {got}")
-        got = linrec.eliminate(linrec.CoupledSystem(2, 2, 2, q - 4, q - 3, 0))
+        got = linrec.eliminate(linrec.CoupledSystem(*sum_system(q)))
         if got != (q, -(q + 1), 2):
             raise SuiteFailure(f"sum system at q={q}: {got}")
     got = linrec.eliminate(linrec.CoupledSystem(-4, -8, -6, 2, 4, 2))

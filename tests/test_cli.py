@@ -1,11 +1,12 @@
 import json
+import random
 import sys
 
 import pytest
 
 from hpascal import sequences, triangle, verify
-from hpascal.cli import main
-from hpascal.pattern import pattern_bits
+from hpascal.cli import _STR_BITS, _decimal_str, main
+from hpascal.pattern import pattern_bits, pattern_int
 from hpascal.quadfield import NotIntegralError, NotRationalError
 from hpascal.sequences import DegenerateDiscriminant
 from hpascal.triangle import generate_rows, nth_row
@@ -191,6 +192,34 @@ def test_counts_past_the_digit_limit_print_in_full(capsys):
         assert out == "a={} b={} s={}\n".format(*sequences.counts_coupled(5, 20000))
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def no_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_big_decimals_print_as_str_does(no_digit_limit):
+    rng = random.Random(2027)
+    values = [0, 1, -1, 7, -10**40, 10**9000]
+    for width in (_STR_BITS, 2 * _STR_BITS, 4 * _STR_BITS, 5 * _STR_BITS + 3):
+        for bits in (width - 1, width, width + 1):
+            value = rng.getrandbits(bits) | 1 << (bits - 1)
+            values += [value, -value, 1 << (bits - 1), (1 << bits) - 1]
+    for value in values:
+        assert _decimal_str(value) == str(value)
+
+
+def test_pattern_16_prints_its_code_in_full(capsys, no_digit_limit):
+    code, out, _ = run(capsys, "pattern", "--n", "16")
+    value = pattern_int(16)
+    assert code == 0
+    assert out == f"{value}\n{value:b}\n"
 
 
 @pytest.mark.parametrize("check, built", [

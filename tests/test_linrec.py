@@ -1,17 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from hpascal.linrec import (
     CoupledSystem,
     TernaryCoeffs,
+    advance,
     check_satisfies,
     eliminate,
     eliminate_homogeneous,
 )
 from hpascal.sequences import counts_ternary
+from hpascal.triangle import count_system
 
 small_ints = st.integers(-5, 5)
 
@@ -96,3 +98,46 @@ def test_trajectories_satisfy_eliminated_recurrence(coeffs, seeds):
         assert all(
             ys[k + 2] == a_bin * ys[k + 1] + b_bin * ys[k] for k in range(11)
         )
+
+
+@given(st.tuples(*[small_ints] * 6), st.integers(0, 200))
+@example((1, 1, 1, 1, 2, 0), 77)  # the count system at q = 5
+@example((2, 3, -4, 0, 5, 1), 120)  # a2*b1 = 0, c != 0
+@example((-1, 0, 5, 3, -2, -3), 65)  # a2*b1 = 0 the other way
+@example((-4, -8, -6, 2, 4, 2), 200)  # the alternating-influence system
+@example((0, 0, 0, 0, 0, 0), 3)
+def test_advance_equals_k_steps(coeffs, k):
+    system = CoupledSystem(*coeffs)
+    x = y = Fraction(0)
+    for _ in range(k):
+        x, y = system.step(x, y)
+    assert advance(coeffs, k) == (x, y)
+
+
+def test_advance_rejects_a_negative_step_count():
+    with pytest.raises(ValueError):
+        advance((1, 1, 1, 1, 2, 0), -1)
+
+
+class _Tracked(int):
+    """An int whose products record their operands' widest bit sum."""
+
+    widest = 0
+
+    def __mul__(self, other):
+        _Tracked.widest = max(_Tracked.widest, self.bit_length() + int(other).bit_length())
+        return _Tracked(int(self) * int(other))
+
+    def __add__(self, other):
+        return _Tracked(int(self) + int(other))
+
+    __rmul__, __radd__ = __mul__, __add__
+
+
+@pytest.mark.parametrize("k", [2, 3, 60, 1024, 1025, 4097])
+def test_advance_squares_no_more_than_the_bits_of_k_need(k):
+    # a square past the top bit of k would take twice the bits of the result
+    _Tracked.widest = 0
+    x, y = advance(tuple(map(_Tracked, count_system(5))), k)
+    assert (x, y) == advance(count_system(5), k)
+    assert _Tracked.widest <= max(x, y).bit_length() + 4

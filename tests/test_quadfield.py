@@ -105,3 +105,46 @@ def test_pow_adds_exponents(x, m, n):
 @given(elems, elems)
 def test_conjugation_is_multiplicative(x, y):
     assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 60, 1024])
+def test_pow_squares_no_more_than_its_bits_need(monkeypatch, n):
+    products = 0
+    mul = QuadElem.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(QuadElem, "__mul__", counted)
+    expected = mul(ALPHA5, ALPHA5 ** (n - 1)) if n > 1 else ALPHA5
+    products = 0
+    assert ALPHA5**n == expected
+    assert products == n.bit_length() - 1 + bin(n).count("1")
+
+
+def test_repr_names_the_parts():
+    assert repr(QuadElem(Fraction(1, 2), 3, 5)) == "QuadElem(Fraction(1, 2), Fraction(3, 1), 5)"
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: x + "x", lambda x: x - "x", lambda x: x * "x", lambda x: x ** 1.5,
+    lambda x: "x" + x, lambda x: "x" * x,
+])
+def test_other_operand_types_are_refused(op):
+    with pytest.raises(TypeError):
+        op(ALPHA5)
+
+
+def test_equality_compares_both_parts():
+    assert ALPHA5 != BETA5
+    assert ALPHA5 != QuadElem(Fraction(3, 2), 0, 5)
+    assert ALPHA5 != "x"
+    assert ALPHA5.__eq__("x") is NotImplemented
+
+
+def test_negation_and_reflected_subtraction():
+    assert -ALPHA5 == QuadElem(Fraction(-3, 2), Fraction(-1, 2), 5)
+    assert 1 - ALPHA5 == BETA5 - 2
+    assert Fraction(1, 2) - ALPHA5 == QuadElem(-1, Fraction(-1, 2), 5)

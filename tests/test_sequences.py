@@ -192,3 +192,32 @@ def test_argument_validation():
         weighted_sum(-1, 1, 1)
     with pytest.raises(ValueError):
         parity_s(0)
+
+
+def reference_coupled(q, n_max):
+    """(a, b, sum_a, sum_b) of rows 1..n_max by one step of each coupled system a
+    row, as counts_coupled and sums_coupled once read them."""
+    a = b = sum_a = sum_b = 0
+    for _ in range(n_max):
+        yield a, b, sum_a, sum_b
+        a, b = a + b + 1, (q - 4) * a + (q - 3) * b
+        sum_a, sum_b = 2 * sum_a + 2 * sum_b + 2, (q - 4) * sum_a + (q - 3) * sum_b
+
+
+POWER_CUTS = {2**k + d for k in range(15) for d in (-1, 0, 1)}
+
+
+@pytest.mark.parametrize("q", range(4, 31))
+def test_coupled_routes_equal_the_step_loops(q):
+    for n, (a, b, sum_a, sum_b) in enumerate(reference_coupled(q, 2**14 + 1), 1):
+        if n <= 300 or n in POWER_CUTS:
+            assert counts_coupled(q, n) == (a, b, a + b + 2)
+            assert sums_coupled(q, n) == (sum_a, sum_b, sum_a + sum_b + 2)
+
+
+@pytest.mark.parametrize("q", range(5, 13))
+def test_three_routes_agree_at_n_3000(q):
+    counts = counts_coupled(q, 3000)
+    assert counts_ternary(q, 3000) == counts == counts_closed(q, 3000)
+    sums = sums_coupled(q, 3000)
+    assert sums_ternary(q, 3000) == sums == sums_closed(q, 3000)
