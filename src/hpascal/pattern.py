@@ -57,7 +57,7 @@ def pattern_int(n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
 
 
 def _row_len(n: int) -> int:
-    return 1 if n == 0 else sequences.counts_ternary(5, n).s
+    return 1 if n == 0 else sequences.counts_coupled(5, n).s
 
 
 def growth_power(n: int) -> int:

@@ -7,7 +7,7 @@ exactly:
     (triangle.count_system, triangle.sum_system), advanced n - 1 rows at
     once as a matrix power by repeated squaring (linrec.advance),
   * the ternary recurrence obtained by eliminating the coupling, streamed
-    term by term,
+    term by term and read by the cross-checks alone,
   * the closed form, evaluated in exact quadratic-field arithmetic.
 
 Counts (a_n kind-A cells, b_n kind-B cells, s_n = a_n + b_n + 2 cells in
@@ -196,14 +196,14 @@ def weighted_sum(n: int, v: int, w: int) -> int:
     """Row sum with weight v on even positions and w on odd ones (q = 5).
 
     Equals (s^ + s~)/2 * v + (s^ - s~)/2 * w where s^ is the plain row
-    sum and s~ the alternating one; both halves are integers.  Row 0 is
-    one cell of value 1, in an even column.
+    sum, from the coupled route, and s~ the alternating one; both halves
+    are integers.  Row 0 is one cell of value 1, in an even column.
     """
     if n < 0:
         raise ValueError("row index must be nonnegative")
     if n == 0:
         return v
-    total = next(islice(_sum_streams(5)[2], n - 1, None))
+    total = sums_coupled(5, n).s
     alt = alt_sum(n)
     if (total + alt) % 2:
         raise ArithmeticError(f"row sum and alternating sum disagree mod 2 at n={n}")

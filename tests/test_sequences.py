@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from hpascal import pattern, sequences
+from hpascal.cli import main
 from hpascal.sequences import (
     AltTriple,
     DegenerateDiscriminant,
@@ -221,3 +223,43 @@ def test_three_routes_agree_at_n_3000(q):
     assert counts_ternary(q, 3000) == counts == counts_closed(q, 3000)
     sums = sums_coupled(q, 3000)
     assert sums_ternary(q, 3000) == sums == sums_closed(q, 3000)
+
+
+def reference_weighted_sum(n, v, w):
+    """weighted_sum with the q = 5 row sum stepped to row n by the ternary
+    recurrence x[n] = 5 x[n-1] - 6 x[n-2] + 2 x[n-3], as weighted_sum once read it."""
+    if n == 0:
+        return v
+    x1, x2, x3 = 2, 4, 10  # rows 1..3
+    for _ in range(n - 1):
+        x1, x2, x3 = x2, x3, 5 * x3 - 6 * x2 + 2 * x1
+    alt = alt_sum(n)
+    assert (x1 + alt) % 2 == 0
+    return (x1 + alt) // 2 * v + (x1 - alt) // 2 * w
+
+
+def test_weighted_sum_equals_the_ternary_reference():
+    rng = random.Random(2929)
+    fixed = [(0, 0), (0, 1), (1, 0), (0, -3), (-5, 0), (-2, -7), (1, -1), (1, 1)]
+    for n in [*range(301), 777, 19_997]:
+        v, w = fixed[n % len(fixed)] if n % 2 else (rng.randint(-9, 9), rng.randint(-9, 9))
+        assert weighted_sum(n, v, w) == reference_weighted_sum(n, v, w), (n, v, w)
+
+
+def test_only_the_cross_checks_walk_the_ternary_streams(monkeypatch, capsys):
+    weighted = {n: reference_weighted_sum(n, 2, -3) for n in (0, 1, 2, 3, 50)}
+    powers = [2 ** (counts_ternary(5, n + 1).s - (counts_ternary(5, n).s if n else 1))
+              for n in range(21)]
+    cli_out = f"{reference_weighted_sum(50, 2, 3)}\n"
+
+    def walked(*args):
+        raise AssertionError("the ternary route was walked")
+
+    monkeypatch.setattr(sequences, "_ternary", walked)
+    with pytest.raises(AssertionError, match="ternary route"):
+        counts_ternary(5, 4)
+    assert {n: weighted_sum(n, 2, -3) for n in weighted} == weighted
+    assert [pattern.growth_power(n) for n in range(21)] == powers
+    assert all(pattern.check_pattern_recurrence(n) for n in range(3, 13))
+    assert main(["altsum", "--n", "50", "--weights", "2", "3"]) == 0
+    assert capsys.readouterr() == (cli_out, "")

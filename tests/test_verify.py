@@ -227,7 +227,9 @@ def test_a_failing_caller_stops_the_worker(two_cpus, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_every_failure_a_reader_keeps_survives_the_pipe_from_the_worker():
+def test_public_exceptions_pickle_with_their_fields():
+    # verify's worker pipe carries SuiteFailures alone; BudgetExceeded.__reduce__
+    # and LocationFailure.__reduce__ stay for callers' own processes
     examples = [
         locator.LocationFailure(2, 3, 4),
         NotIntegralError("5/2 is not an integer"),
