@@ -105,7 +105,7 @@ def _parts(q: int, n: int, budget: int):
 
 def _triple_by_method(kind: str, q: int, n: int, method: str, budget: int):
     if method != "generate":
-        return tuple(getattr(sequences, f"{kind}_{method}")(q, n))
+        return getattr(sequences, f"{kind}_{method}")(q, n)
     if kind == "counts":  # kinds alone: no value is built
         return kind_counts(n, row_kinds(q, n, budget))
     return tuple(map(sum, zip(*map(row_sums, _parts(q, n, budget)))))

@@ -1,14 +1,14 @@
 """Cell counts, row sums and alternating sums of the {4,q} triangle.
 
-Each quantity is computed by three independent routes that must agree
-exactly:
+Counts and sums are each a Triple (a, b, s) of kind-A, kind-B and whole-row
+figures, computed by three independent routes that must agree exactly:
 
   * the coupled first-order system that the growing rule induces
     (triangle.count_system, triangle.sum_system), advanced n - 1 rows at
     once as a matrix power by repeated squaring (linrec.advance),
   * the ternary recurrence obtained by eliminating the coupling, streamed
     term by term and read by the cross-checks alone,
-  * the closed form, evaluated in exact quadratic-field arithmetic.
+  * the closed form, evaluated by _closed in exact quadratic-field arithmetic.
 
 Counts (a_n kind-A cells, b_n kind-B cells, s_n = a_n + b_n + 2 cells in
 row n) obey x[n] = (q-1)x[n-1] - (q-1)x[n-2] + x[n-3]; their closed form
@@ -36,16 +36,9 @@ class DegenerateDiscriminant(ValueError):
     """q = 4 makes the counting discriminant vanish; no closed form."""
 
 
-class CountTriple(NamedTuple):
-    """Counts of kind-A cells, kind-B cells and all cells of a row."""
-
-    a: int
-    b: int
-    s: int
-
-
-class SumTriple(NamedTuple):
-    """Value sums over kind-A cells, kind-B cells and the whole row."""
+class Triple(NamedTuple):
+    """A row figure over kind-A cells, kind-B cells and the whole row: the
+    cell counts or the value sums, by any route."""
 
     a: int
     b: int
@@ -70,16 +63,16 @@ def _check_args(q: int, n: int) -> None:
         raise ValueError(f"row index must be at least 1, got {n}")
 
 
-def counts_coupled(q: int, n: int) -> CountTriple:
+def counts_coupled(q: int, n: int) -> Triple:
     _check_args(q, n)
     a, b = advance(count_system(q), n - 1)
-    return CountTriple(a, b, a + b + 2)
+    return Triple(a, b, a + b + 2)
 
 
-def sums_coupled(q: int, n: int) -> SumTriple:
+def sums_coupled(q: int, n: int) -> Triple:
     _check_args(q, n)
     a, b = advance(sum_system(q), n - 1)
-    return SumTriple(a, b, a + b + 2)
+    return Triple(a, b, a + b + 2)
 
 
 def _ternary(initial: tuple[int, int, int], c1: int, c2: int, c3: int) -> Iterator[int]:
@@ -104,49 +97,45 @@ def _sum_streams(q: int) -> list[Iterator[int]]:
 
 # counts_ternary and sums_ternary run each stream to row n on its own: stepping
 # the three together, a triple per row, is slower on the `sequences` benchmark
-def counts_ternary(q: int, n: int) -> CountTriple:
+def counts_ternary(q: int, n: int) -> Triple:
     _check_args(q, n)
-    return CountTriple(*(next(islice(s, n - 1, None)) for s in _count_streams(q)))
+    return Triple(*(next(islice(s, n - 1, None)) for s in _count_streams(q)))
 
 
-def sums_ternary(q: int, n: int) -> SumTriple:
+def sums_ternary(q: int, n: int) -> Triple:
     _check_args(q, n)
-    return SumTriple(*(next(islice(s, n - 1, None)) for s in _sum_streams(q)))
+    return Triple(*(next(islice(s, n - 1, None)) for s in _sum_streams(q)))
 
 
-def _closed(coef: QuadElem, root_power: QuadElem, shift: int) -> int:
-    term = coef * root_power
-    return (term + term.conjugate() + shift).as_integer()
+def _closed(n: int, d: int, growth: Fraction, coefs: tuple, shifts: tuple) -> Triple:
+    """The Triple of coef g^n + its conjugate + shift, for g = growth + sqrt(d)/2."""
+    root_power = QuadElem(growth, Fraction(1, 2), d) ** n
+    terms = (coef * root_power for coef in coefs)
+    return Triple(*((t + t.conjugate() + k).as_integer() for t, k in zip(terms, shifts)))
 
 
-def counts_closed(q: int, n: int) -> CountTriple:
+def counts_closed(q: int, n: int) -> Triple:
     _check_args(q, n)
     if q == 4:
         raise DegenerateDiscriminant("counting closed form needs q >= 5")
     d = q * q - 4 * q
-    growth = QuadElem(Fraction(q - 2, 2), Fraction(1, 2), d) ** n
-    coef_a = QuadElem(Fraction(2 - q, 2), Fraction(q * q - 4 * q + 2, 2 * q * (q - 4)), d)
-    coef_b = QuadElem(Fraction(q - 3, 2), Fraction(1 - q, 2 * q), d)
-    coef_s = QuadElem(Fraction(-1, 2), Fraction(q - 2, 2 * q * (q - 4)), d)
-    return CountTriple(
-        _closed(coef_a, growth, 1),
-        _closed(coef_b, growth, -1),
-        _closed(coef_s, growth, 2),
+    coefs = (
+        QuadElem(Fraction(2 - q, 2), Fraction(q * q - 4 * q + 2, 2 * q * (q - 4)), d),
+        QuadElem(Fraction(q - 3, 2), Fraction(1 - q, 2 * q), d),
+        QuadElem(Fraction(-1, 2), Fraction(q - 2, 2 * q * (q - 4)), d),
     )
+    return _closed(n, d, Fraction(q - 2, 2), coefs, (1, -1, 2))
 
 
-def sums_closed(q: int, n: int) -> SumTriple:
+def sums_closed(q: int, n: int) -> Triple:
     _check_args(q, n)
     d = q * q - 2 * q - 7  # nonnegative for every q >= 4
-    growth = QuadElem(Fraction(q - 1, 2), Fraction(1, 2), d) ** n
-    coef_a = QuadElem(Fraction(1 - q, 2), Fraction(q * q - 2 * q - 3, 2 * d), d)
-    coef_b = QuadElem(Fraction(q - 2, 2), Fraction(-(q * q - 3 * q - 2), 2 * d), d)
-    coef_s = QuadElem(Fraction(-1, 2), Fraction(q - 1, 2 * d), d)
-    return SumTriple(
-        _closed(coef_a, growth, 2),
-        _closed(coef_b, growth, -2),
-        _closed(coef_s, growth, 2),
+    coefs = (
+        QuadElem(Fraction(1 - q, 2), Fraction(q * q - 2 * q - 3, 2 * d), d),
+        QuadElem(Fraction(q - 2, 2), Fraction(-(q * q - 3 * q - 2), 2 * d), d),
+        QuadElem(Fraction(-1, 2), Fraction(q - 1, 2 * d), d),
     )
+    return _closed(n, d, Fraction(q - 1, 2), coefs, (2, -2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -346,25 +346,21 @@ def central_cell(row: Row) -> Cell:
 
 
 def child_edges(kinds: str, q: int) -> Iterator[tuple[int, int]]:
-    """Edges (parent index, child index) from a row with these kinds.
-
-    Children are numbered in the left-to-right order used by next_row;
-    merged kind-A children receive one edge from each of their two
-    parents.
+    """Edges (parent index, child index) from a row with these kinds, children
+    numbered left to right as in next_row: parent j // (q-2) owns slot j of
+    _slots, and a merge, a parent's last slot, also has an edge from the next.
     """
     _check_q(q)
-    m = len(kinds)
-    fill = _fill(q)
+    w = q - 2
     yield 0, 0
     c = 1
-    for i in range(m - 1):
-        for _ in range(fill[kinds[i]]):  # 0 for the left winger
-            yield i, c
+    for j, slot in enumerate(_slots(kinds[:-1].lower(), q)):
+        if slot != "\0":
+            yield j // w, c
+            if j % w == w - 1:
+                yield j // w + 1, c
             c += 1
-        yield i, c
-        yield i + 1, c
-        c += 1
-    yield m - 1, c
+    yield len(kinds) - 1, c
 
 
 def binomial_row(n: int) -> list[int]:

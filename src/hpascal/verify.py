@@ -232,9 +232,9 @@ def three_way_agreement(seen: RowReader, closed: ClosedForms) -> str:
             if (q, n) not in seen.kept:
                 raise SuiteFailure(f"generated row missing at q={q} n={n}")
             counts, sums = seen.kept[q, n]
-            if counts != tuple(sequences.counts_coupled(q, n)):
+            if counts != sequences.counts_coupled(q, n):
                 raise SuiteFailure(f"generated counts mismatch at q={q} n={n}")
-            if sums != tuple(sequences.sums_coupled(q, n)):
+            if sums != sequences.sums_coupled(q, n):
                 raise SuiteFailure(f"generated sums mismatch at q={q} n={n}")
     return (
         f"q in {AGREEMENT_QS}: three routes agree for n=1..{AGREEMENT_N_MAX}; "

@@ -62,19 +62,17 @@ def assert_palindromic(row):
 
 
 def assert_children_come_from_parents(parent_row, child_row, q):
-    """Each child of child_edges holds its one parent's value, or its two parents' sum."""
+    """Each child of child_edges holds its one parent's value, or its two parents' sum,
+    and has two parents exactly when it is kind A."""
+    above, below = parent_row.values, child_row.values  # each a full copy: read once
     parents_of: dict[int, list[int]] = {}
     for p, c in child_edges(parent_row.kinds, q):
-        parents_of.setdefault(c, []).append(parent_row.values[p])
+        parents_of.setdefault(c, []).append(above[p])
     assert sorted(parents_of) == list(range(len(child_row)))
     for c, parent_values in parents_of.items():
-        value = child_row.values[c]
-        if child_row.kinds[c] == "W":
-            assert value == 1 and len(parent_values) == 1
-        elif len(parent_values) == 1:
-            assert value == parent_values[0]
-        else:
-            assert value == sum(parent_values)
+        kind = child_row.kinds[c]
+        assert len(parent_values) == (2 if kind == "A" else 1)
+        assert below[c] == (1 if kind == "W" else sum(parent_values))
 
 
 class FullRow(NamedTuple):
@@ -153,7 +151,7 @@ def test_adjacency_grammar_q5(rows_q5):
             assert inner[left + 1 : right] in ("", "A")
 
 
-@pytest.mark.parametrize("q", [5, 6])
+@pytest.mark.parametrize("q", [4, 5, 6, 7, 10])
 def test_child_values_come_from_parents(q):
     rows = list(generate_rows(q, 8))
     for parent_row, child_row in zip(rows, rows[1:]):

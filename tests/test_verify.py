@@ -460,14 +460,14 @@ def test_a_reader_exception_fails_its_suite_alike_in_either_process(
     assert multiprocessing.active_children() == []
 
 
-def one_wrong_cell(monkeypatch, at):
-    """Have the shared builder give row at = (q, n) one cell of its half one too large."""
+def one_wrong_cell(monkeypatch, at, wrong=150):
+    """Have the shared builder give row at = (q, n) cell wrong of its half one too large."""
     original = triangle.child_half
 
     def faulty(row, q):
         kinds, cells = original(row, q)
         if (q, row.n + 1) == at:
-            cells = (value + (k == 150) for k, value in enumerate(cells))
+            cells = (value + (k == wrong) for k, value in enumerate(cells))
         return kinds, cells
 
     monkeypatch.setattr(triangle, "child_half", faulty)
@@ -620,7 +620,24 @@ def swapped_cells(monkeypatch):
     monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", triangle.DEFAULT_CELL_BUDGET)
 
 
+def swapped_kinds(monkeypatch):
+    """q = 7 row 6 with its first adjacent A and B swapped in kinds, and their
+    mirrors: the values, the kind counts and the palindrome stay as they were."""
+    original = triangle.child_half
+
+    def swapping(row, q):
+        kinds, cells = original(row, q)
+        if (q, row.n + 1) == (7, 6):
+            k = kinds.index("AB")
+            end = len(kinds) - 2 - k
+            kinds = kinds[:k] + "BA" + kinds[k + 2 : end] + "AB" + kinds[end + 2 :]
+        return kinds, cells
+
+    monkeypatch.setattr(triangle, "child_half", swapping)
+
+
 ALT_TABLE = verify.ALT_TABLE
+Q5_ROW9_MIDDLE = len(triangle.row_kinds(5, 9)) // 2
 Q5_ROW5 = len(triangle.row_kinds(5, 5))  # pattern bit strings are as long as their rows
 FAULTS = [
     pytest.param("euclidean-oracle", kind_b_in_row_5,
@@ -679,6 +696,14 @@ FAULTS = [
     pytest.param("elimination", setting(linrec, "eliminate_homogeneous", lambda s: (0, 0)),
                  f"homogeneous elimination fails for {linrec.CoupledSystem(-3, 4, 0, -5, 1, 0)}",
                  id="elim-homogeneous"),
+    # the middle cell of an odd row, which part_sums weighs once
+    pytest.param("three-way", lambda mp: one_wrong_cell(mp, (5, 9), Q5_ROW9_MIDDLE),
+                 "generated sums mismatch at q=5 n=9", id="q5-row9-middle-sums"),
+    pytest.param("alternating", lambda mp: one_wrong_cell(mp, (5, 9), Q5_ROW9_MIDDLE),
+                 "signed subsums at n=9: AltTriple(a_part=2, b_part=-1, total=3)",
+                 id="q5-row9-middle-alt"),
+    pytest.param("three-way", swapped_kinds, "generated sums mismatch at q=7 n=6",
+                 id="q7-row6-ab-swap"),
     # a known gap: no suite reads a q >= 5 cell against an oracle, so None (any detail)
     pytest.param("three-way", swapped_cells, None, id="q6-row14-swap",
                  marks=pytest.mark.xfail(strict=True, raises=AssertionError,
