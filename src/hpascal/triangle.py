@@ -19,7 +19,8 @@ Rows are palindromes, by induction: a child reads 1, C0 M01, C1 M12, ...,
 M(m-2,m-1), 1, each copy block Ci of identical cells, so reversing a
 palindrome's child gives the same child.  A row therefore stores only its
 left half, cells 0..ceil(L/2)-1, with the full string of kinds; child_half
-builds a child's half from its parent's half, and every reader reads it.
+builds a child's half from its parent's half as whole lists of cells, one
+per block of parents, and every reader reads it.
 
 Rows are immutable once produced; generation is strictly streaming
 (row n+1 is built from row n only), and row sizes grow geometrically,
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import compress, islice, repeat
 from operator import add
 from typing import Iterator, NamedTuple
 
@@ -45,8 +46,9 @@ TYPE_B = "B"
 DEFAULT_CELL_BUDGET = 10**7
 CHUNK = 2048  # cells of a half a slice holds, read or written: too few to be mmap'd
 
-# a bytes.translate table taking kind A to 1 and the other kinds to 0
+# bytes.translate tables taking kind A, or kind B, to 1 and the other kinds to 0
 _A_TABLE = bytes.maketrans(b"WAB", b"\0\1\0")
+_B_TABLE = bytes.maketrans(b"WAB", b"\0\0\1")
 
 
 class BudgetExceeded(Exception):
@@ -119,19 +121,6 @@ def initial_row() -> Row:
     return Row(0, [1], WINGER)
 
 
-class _Sized:
-    """An iterator with a stated length, so list() allocates for it once."""
-
-    def __init__(self, it: Iterator, n: int) -> None:
-        self.it, self.n = it, n
-
-    def __iter__(self) -> Iterator:
-        return self.it
-
-    def __len__(self) -> int:
-        return self.n
-
-
 def _fill(q: int) -> dict[str, int]:
     return {WINGER: 0, TYPE_A: q - 4, TYPE_B: q - 3}  # copies a parent drops
 
@@ -153,37 +142,62 @@ def child_kinds(kinds: str, q: int) -> str:
     return _slots(f"{WINGER}{kinds[:-1].lower()}{WINGER}", q, "")
 
 
-def child_half(row: Row, q: int) -> tuple[str, Iterator[int]]:
-    """The kinds of row's child, a palindrome as row is, and an iterator that
-    builds the values of the child's left half.
+def _mask(parents: str, q: int) -> bytearray:
+    """1 at each slot of _slots(parents.lower(), q) that holds a child, else 0:
+    every slot but an A parent's first, and of the left winger only its merge."""
+    w = q - 2
+    mask = bytearray(b"\1") * (w * len(parents))
+    mask[::w] = parents.encode().translate(_B_TABLE)
+    if parents[:1] == WINGER:
+        mask[: w - 1] = bytes(w - 1)
+    return mask
+
+
+def child_half(row: Row, q: int) -> tuple[str, Iterator[list[int]]]:
+    """The kinds of row's child, a palindrome as row is, and an iterator over
+    lists that hold the values of the child's left half in order: [1], then
+    the children of each block of CHUNK // (q-2) parents, cut at the half's end.
 
     The child's half reads cells 0..ceil(m/2) of an m-cell parent: the slots
     of its half and cell ceil(m/2) for the last merge.  That cell is half[-1]
     when m is even; when m is odd its merge falls right of the child's
     middle, so half[-1] stands in for it there too.
     """
-    # kinds first, then values a block at a time: no slot word or copy of half is whole
+    # kinds first, then values a block at a time: no mask or copy of half is whole
     kinds = child_kinds(row.kinds, q)
+    return kinds, _blocks(row, q, (len(kinds) + 1) // 2)
+
+
+def _blocks(row: Row, q: int, h: int) -> Iterator[list[int]]:
+    """The first h cells of row's child, a list per block of parents; a block
+    wholly past the half's end is empty."""
     half, extra, w = row.half, row.half[-1:], q - 2
     b = max(CHUNK // w, 1)  # parents a block, so a block holds CHUNK slots
-
-    def block(i: int) -> Iterator[int]:  # the children of parents i..i+b-1, by their own slots
+    slots = [1] * (w * b)  # every slot is written anew for each block
+    yield [1]
+    h -= 1
+    for i in range(0, len(half), b):  # the children of parents i..i+b-1, by their own slots
         cells = half[i : i + b]
-        slots = [1] * (w * len(cells))
+        del slots[w * len(cells) :]  # the last block may hold fewer parents
         for j in range(w - 1):
             slots[j::w] = cells
-        slots[w - 1 :: w] = map(add, cells, chain(half[i + 1 : i + b + 1], extra))
-        return compress(slots, _slots(row.kinds[i : i + b].lower(), q).encode())
-
-    cells = chain((1,), chain.from_iterable(map(block, range(0, len(half), b))))
-    return kinds, islice(cells, (len(kinds) + 1) // 2)
+        slots[w - 1 :: w] = map(add, cells, half[i + 1 : i + b + 1] + extra)
+        block = list(compress(slots, _mask(row.kinds[i : i + len(cells)], q)))
+        del block[h:]  # the half may end in this block
+        yield block
+        h -= len(block)
 
 
 def next_row(row: Row, q: int) -> Row:
-    """The child of row, stored as its left half."""
-    kinds, cells = child_half(row, q)
-    # the half claims its length, so the list is allocated once, at its size
-    return Row(row.n + 1, list(_Sized(cells, (len(kinds) + 1) // 2)), kinds)
+    """The child of row, stored as its left half, each block copied into place."""
+    kinds, blocks = child_half(row, q)
+    # allocated once, at its length, as a copy of the list would be
+    half = list(repeat(1, (len(kinds) + 1) // 2))
+    k = 0
+    for block in blocks:
+        half[k : k + len(block)] = block
+        k += len(block)
+    return Row(row.n + 1, half, kinds)
 
 
 def count_system(q: int) -> tuple[int, ...]:
@@ -258,10 +272,15 @@ def row_kinds(q: int, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> str:
 
 
 def _parts(parent: Row, q: int) -> Iterator[Row]:
-    """parent's child, a slice per CHUNK cells of its half, each built as it is read."""
-    kinds, cells = child_half(parent, q)
+    """parent's child, a slice per CHUNK cells of its half, each cut from the
+    blocks child_half builds as it is read."""
+    kinds, blocks = child_half(parent, q)
+    cells: list[int] = []
     for offset in range(0, (len(kinds) + 1) // 2, CHUNK):
-        yield Row(parent.n + 1, list(islice(cells, CHUNK)), kinds, offset)
+        while len(cells) < CHUNK and (block := next(blocks, None)) is not None:
+            cells += block
+        yield Row(parent.n + 1, cells[:CHUNK], kinds, offset)
+        del cells[:CHUNK]
 
 
 def read_rows(

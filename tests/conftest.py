@@ -1,5 +1,6 @@
 import importlib
 import os
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,39 @@ def built_rows(monkeypatch, locator_rows, tmp_path):
 
     monkeypatch.setattr(triangle, "child_half", counting)
     return built
+
+
+def edit_half(monkeypatch, at, start, stop, edit):
+    """Have triangle.child_half build row at = (q, n) with cells start..stop-1 of
+    its half replaced by edit(kinds, those cells), a list of the same length.
+
+    The cells may lie across blocks; each block keeps its length, and every
+    block is passed on as a list, as child_half's are.
+    """
+    original = triangle.child_half
+
+    def edited(kinds, blocks):
+        held, k = [], 0  # the blocks up to cell stop, and how many cells they hold
+        for block in blocks:
+            held.append(block)
+            k += len(block)
+            if k >= stop:
+                break
+        cells = list(chain.from_iterable(held))
+        cells[start:stop] = edit(kinds, cells[start:stop])
+        k = 0
+        for block in held:
+            yield cells[k : k + len(block)]
+            k += len(block)
+        yield from blocks
+
+    def editing(row, q):
+        kinds, blocks = original(row, q)
+        if (q, row.n + 1) == at:
+            blocks = edited(kinds, blocks)
+        return kinds, blocks
+
+    monkeypatch.setattr(triangle, "child_half", editing)
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from hpascal.quadfield import NotIntegralError, NotRationalError
 from hpascal.sequences import DegenerateDiscriminant
 from hpascal.triangle import generate_rows, nth_row
 
+from conftest import edit_half
 from test_export import json_reference  # the reference JSON-lines encoder
 
 
@@ -93,15 +94,7 @@ def test_altsum_of_row_0(capsys, argv, out):
 
 def wrong_cell_in_row(monkeypatch, q, n, k):
     """Have the shared builder give cell k of row n's half one too large."""
-    original = triangle.child_half
-
-    def faulty(row, q_):
-        kinds, cells = original(row, q_)
-        if (q_, row.n + 1) == (q, n):
-            cells = (value + (j == k) for j, value in enumerate(cells))
-        return kinds, cells
-
-    monkeypatch.setattr(triangle, "child_half", faulty)
+    edit_half(monkeypatch, (q, n), k, k + 1, lambda kinds, cells: [cells[0] + 1])
 
 
 @pytest.mark.parametrize("argv, out", [

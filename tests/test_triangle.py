@@ -287,6 +287,16 @@ def test_next_row_matches_the_cell_by_cell_builder_in_blocks_of_any_chunk(monkey
     assert_rows_match_the_cell_by_cell_builder(q)
 
 
+@given(q=st.integers(4, 30), inner=st.text("AB", max_size=40), cut=st.integers(0, 41))
+def test_a_blocks_mask_marks_the_slots_that_hold_a_child(q, inner, cut):
+    # the mask sets one column per parent from its kind: the shortcut holds
+    # only while an A parent's first slot is its only empty one, bar the winger's
+    kinds = triangle.WINGER + inner
+    for block in (kinds[:cut], kinds[cut:]):  # the left winger's block, then a later one
+        slots = triangle._slots(block.lower(), q)
+        assert triangle._mask(block, q) == bytes(slot != "\0" for slot in slots)
+
+
 @settings(deadline=None)
 @given(q=st.integers(4, 30), budget=st.integers(1, 2000), depth=st.integers(0, 40))
 def test_rows_built_cell_by_cell_are_palindromes(q, budget, depth):
@@ -342,8 +352,8 @@ def test_next_row_never_copies_its_parent_values_into_an_even_child():
 
 def test_next_row_builds_its_child_block_by_block():
     # the child's kinds come before its values, and its values are built a
-    # block of triangle.CHUNK slots at a time under that block's own slot
-    # word; one slot word under the whole parent read 3.03 bytes a parent cell
+    # block of triangle.CHUNK slots at a time under that block's own mask;
+    # one slot word under the whole parent read 3.03 bytes a parent cell
     parent = nth_row(5, 15)  # 317,811 cells
     tracemalloc.start()
     try:

@@ -6,13 +6,15 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
-from itertools import chain, islice
+from itertools import islice
 
 import pytest
 
 from hpascal import linrec, locator, pattern, sequences, triangle, verify
 from hpascal.cli import main
 from hpascal.quadfield import NotIntegralError, NotRationalError
+
+from conftest import edit_half
 
 ROW_SUITES = ["three-way", "alternating", "parity", "pattern", "locator", "embeddings"]
 
@@ -462,15 +464,7 @@ def test_a_reader_exception_fails_its_suite_alike_in_either_process(
 
 def one_wrong_cell(monkeypatch, at, wrong=150):
     """Have the shared builder give row at = (q, n) cell wrong of its half one too large."""
-    original = triangle.child_half
-
-    def faulty(row, q):
-        kinds, cells = original(row, q)
-        if (q, row.n + 1) == at:
-            cells = (value + (k == wrong) for k, value in enumerate(cells))
-        return kinds, cells
-
-    monkeypatch.setattr(triangle, "child_half", faulty)
+    edit_half(monkeypatch, at, wrong, wrong + 1, lambda kinds, cells: [cells[0] + 1])
 
 
 @pytest.mark.parametrize("at, in_worker", [((7, 7), True), ((5, 11), False)])
@@ -603,19 +597,12 @@ def kind_b_in_row_5(monkeypatch):
 def swapped_cells(monkeypatch):
     """q = 6 row 14 with two unequal cells of one kind, two columns apart, swapped:
     row and alternating sums, kind counts and length all stay as they were."""
-    original = triangle.child_half
+    def swapping(kinds, head):
+        k = next(k for k in range(1, 38) if kinds[k] == kinds[k + 2] and head[k] != head[k + 2])
+        head[k], head[k + 2] = head[k + 2], head[k]
+        return head
 
-    def swapping(row, q):
-        kinds, cells = original(row, q)
-        if (q, row.n + 1) == (6, 14):
-            head = list(islice(cells, 40))
-            k = next(k for k in range(1, 38)
-                     if kinds[k] == kinds[k + 2] and head[k] != head[k + 2])
-            head[k], head[k + 2] = head[k + 2], head[k]
-            cells = chain(head, cells)
-        return kinds, cells
-
-    monkeypatch.setattr(triangle, "child_half", swapping)
+    edit_half(monkeypatch, (6, 14), 0, 40, swapping)
     # row 14 is the top q = 6 row in the default budget, which three-way reads to
     monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", triangle.DEFAULT_CELL_BUDGET)
 
