@@ -109,9 +109,9 @@ def sums_ternary(q: int, n: int) -> Triple:
 
 def _closed(n: int, d: int, growth: Fraction, coefs: tuple, shifts: tuple) -> Triple:
     """The Triple of coef g^n + its conjugate + shift, for g = growth + sqrt(d)/2."""
-    root_power = QuadElem(growth, Fraction(1, 2), d) ** n
-    terms = (coef * root_power for coef in coefs)
-    return Triple(*((t + t.conjugate() + k).as_integer() for t, k in zip(terms, shifts)))
+    p = QuadElem(growth, Fraction(1, 2), d) ** n
+    twice = (2 * (c.re * p.re + c.rt * p.rt * d) for c in coefs)  # coef g^n + its conjugate
+    return Triple(*(QuadElem(t + k).as_integer() for t, k in zip(twice, shifts)))
 
 
 def counts_closed(q: int, n: int) -> Triple:

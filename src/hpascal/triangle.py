@@ -26,16 +26,16 @@ Rows are immutable once produced; generation is strictly streaming
 (row n+1 is built from row n only), and row sizes grow geometrically,
 so a cell budget guards every generating entry point.  A stream's last
 row is most of its cells and never a parent, so read_rows never stores
-it: it comes as Rows that each hold one slice of its half, at an offset.
-A stored row is the slice at offset 0 that runs to the middle, so every
-reader reads both alike.
+it: it comes as Rows that each hold one slice of its half, at an offset,
+each slice a block as child_half builds it.  A stored row is the slice
+at offset 0 that runs to the middle, so every reader reads both alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add
 from typing import Iterator, NamedTuple
 
@@ -44,7 +44,7 @@ TYPE_A = "A"
 TYPE_B = "B"
 
 DEFAULT_CELL_BUDGET = 10**7
-CHUNK = 2048  # cells of a half a slice holds, read or written: too few to be mmap'd
+CHUNK = 2048  # slots a block holds, or cells a half is written in: too few to be mmap'd
 
 # bytes.translate tables taking kind A, or kind B, to 1 and the other kinds to 0
 _A_TABLE = bytes.maketrans(b"WAB", b"\0\1\0")
@@ -272,22 +272,20 @@ def row_kinds(q: int, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> str:
 
 
 def _parts(parent: Row, q: int) -> Iterator[Row]:
-    """parent's child, a slice per CHUNK cells of its half, each cut from the
-    blocks child_half builds as it is read."""
+    """parent's child, a slice per block child_half builds but the empty one
+    past the half's end, each built as it is read; cell 0 comes with the first."""
     kinds, blocks = child_half(parent, q)
-    cells: list[int] = []
-    for offset in range(0, (len(kinds) + 1) // 2, CHUNK):
-        while len(cells) < CHUNK and (block := next(blocks, None)) is not None:
-            cells += block
-        yield Row(parent.n + 1, cells[:CHUNK], kinds, offset)
-        del cells[:CHUNK]
+    offset = 0
+    for block in filter(None, chain([next(blocks) + next(blocks)], blocks)):
+        yield Row(parent.n + 1, block, kinds, offset)
+        offset += len(block)
 
 
 def read_rows(
     q: int, n_max: int, cell_budget: int = DEFAULT_CELL_BUDGET
 ) -> Iterator[Row]:
     """Rows 0..n_max-1 as generate_rows streams them, then row n_max, never
-    stored: a Row slice per CHUNK cells of its half, each built as it is read.
+    stored: a Row slice per block of its half, each built as it is read.
     As in generate_rows, BudgetExceeded comes before an over-budget row is built.
     """
     return _stream(q, n_max, cell_budget, initial_row(), next_row, last=_parts)
@@ -332,6 +330,7 @@ def part_sums(row: Row, even: int = 1, odd: int = 1) -> tuple[int, int, int]:
         strides = [(even + odd, 0, 1)]
     else:  # column offset + i is even for i of offset's parity
         strides = [(2 * even, offset % 2, 2), (2 * odd, 1 - offset % 2, 2)]
+    strides = [stride for stride in strides if stride[0]]  # none folded at weight 0
 
     def fold(masked: bool) -> int:  # the weighted half, its kind-A cells only if masked
         total = 0

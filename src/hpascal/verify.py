@@ -8,16 +8,16 @@ is exact integer or rational arithmetic.
 The suites that read generated rows (the keys of ROW_READERS) each take
 a row reader that keeps small per-row results, never rows.  A suite runs
 through `run([name])`, which streams only that suite's rows; `run` builds
-every row the named suites read once and hands it to each reader that
-reads it.  The last row of each q, most of its cells, is never stored:
-triangle.read_rows hands it out in parts, each read by every reader and
-dropped.  The calling process streams q = 5 while one forked worker
-streams the larger q's; while the worker finishes, the caller runs the
-suites that read no rows or only q = 5 rows, so only the suites that
-read the worker's rows run after the merge; if the worker dies, those
-suites fail, as does a suite whose reader raises on a row.  The
-suites that read closed forms share one table per run, so each closed
-form is evaluated once.
+every row the named suites read once and hands it to each reader of
+its q alone.  The last row of each q, most of its cells, is never
+stored: triangle.read_rows hands it out in parts, the blocks its builder
+makes, each read by every reader of that q and dropped.  The calling
+process streams q = 5 while one forked worker streams the larger q's;
+while the worker finishes, the caller runs the suites that read no rows
+or only q = 5 rows, so only the suites that read the worker's rows run
+after the merge; if the worker dies, those suites fail, as does a suite
+whose reader raises on a row.  The suites that read closed forms share
+one table per run, so each closed form is evaluated once.
 """
 
 from __future__ import annotations
@@ -124,9 +124,10 @@ class RowReader:
 
 def _stream(readers: list[RowReader], qs: list[int]) -> list[tuple]:
     for q in qs:
-        for row in read_rows(q, max(r.last.get(q, -1) for r in readers)):
-            for r in readers:
-                if row.n <= r.last.get(q, -1):
+        on_q = [(r, r.last[q]) for r in readers if q in r.last]  # a reader, its last row
+        for row in read_rows(q, max(last for _, last in on_q)):
+            for r, last in on_q:
+                if row.n <= last:
                     r.feed(q, row)
     return [(r.kept, r.error) for r in readers]
 
@@ -321,10 +322,10 @@ def pattern_checks(seen: RowReader) -> str:
     )
 
 
-# (pair, row, column) of pairs whose cell is known; (241, 179) lies across two slices
+# (pair, row, column) of pairs whose cell is known; (633, 184) lies across two slices
 LOCATOR_SPOTS = (
     ((2, 3), 3, 2), ((3, 5), 4, 2), ((2, 2), 4, 4), ((3, 1), 3, 3), ((4, 6), 6, 28),
-    ((241, 179), 18, 28671),
+    ((633, 184), 18, 16067),
 )
 
 

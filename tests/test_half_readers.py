@@ -81,6 +81,17 @@ def test_alt_triples_match_the_full_row_reference(swept_rows):
         assert triple == part_sums_reference(row, 1, -1), (q, row.n)
 
 
+def test_opposite_weights_sum_an_even_row_to_zero_reading_no_cell(swept_rows):
+    # every mirrored pair, the wingers too, weighs even + odd = 0: part_sums
+    # returns without folding, so a half of no numbers reads alike
+    for q, row in swept_rows:
+        if len(row) % 2 == 0:
+            unread = Row(row.n, [None] * len(row.half), row.kinds)
+            for even in (1, 3, -7):
+                assert part_sums_reference(row, even, -even) == (0, 0, 0), (q, row.n)
+                assert part_sums(unread, even, -even) == (0, 0, 0), (q, row.n)
+
+
 @pytest.mark.parametrize(
     "reader, bound",
     # reading every cell, they peaked at 2.0 and 10.0 bytes a cell

@@ -365,6 +365,22 @@ def test_next_row_builds_its_child_block_by_block():
     assert (peak - held) / len(parent) <= 0.5
 
 
+def test_reading_a_top_row_keeps_no_recut_buffer():
+    # each slice is a block list as the builder made it; re-cut into CHUNK-cell
+    # slices through a buffer, the slices after the first peaked at 97 kB
+    rows = read_rows(5, 15)  # row 15: 317,811 cells, 88 slices
+    first = next(row for row in rows if row.n == 15)
+    tracemalloc.start()
+    try:
+        for row in rows:
+            assert row.offset > first.offset
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two block lists, each CHUNK pointers and the ints of its merges, as many bytes again
+    assert peak <= 2 * 2 * sys.getsizeof([None] * triangle.CHUNK)
+
+
 def test_a_kept_child_stores_only_its_left_half():
     # the locator keeps q = 5 rows 0..18: a full row of pointers and kinds
     # holds 9.3 bytes a cell, its left half and the kinds 5.3

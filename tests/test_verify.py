@@ -6,7 +6,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
-from itertools import islice
+from itertools import accumulate, islice, pairwise
 
 import pytest
 
@@ -347,7 +347,7 @@ def test_a_misplaced_spot_pair_names_its_cell(monkeypatch):
 
 
 def test_a_scanner_that_forgets_the_cell_before_a_slice_fails_locator(monkeypatch):
-    # (241, 179) is in row 18 only as its cells 28,671 and 28,672, the last
+    # (633, 184) is in row 18 only as its cells 16,067 and 16,068, the last
     # of one slice and the first of the next, so the carried cell finds it
     feed = locator.PairScanner.feed
 
@@ -358,16 +358,19 @@ def test_a_scanner_that_forgets_the_cell_before_a_slice_fails_locator(monkeypatc
     monkeypatch.setattr(locator.PairScanner, "feed", forgetful)
     (result,) = verify.run(["locator"])
     assert (result.passed, result.detail) == (
-        False, "location failure: pair (241, 179) not adjacent anywhere in row 18")
+        False, "location failure: pair (633, 184) not adjacent anywhere in row 18")
 
 
 def test_the_boundary_spot_pair_straddles_two_slices_of_the_top_q5_row():
-    # another CHUNK moves the slice boundaries: this spot then needs a new pair
-    ((_, n, col),) = [spot for spot in verify.LOCATOR_SPOTS if spot[0] == (241, 179)]
-    assert (col + 1) % triangle.CHUNK == 0
+    # another CHUNK or block rule moves the slice boundaries: this spot then needs a new pair
+    ((pair, n, col),) = [spot for spot in verify.LOCATOR_SPOTS if spot[0] == (633, 184)]
     # row 18 is the last q = 5 row any suite reads, so it comes in slices
     tops = [reader().last.get(5, -1) for reader in verify.ROW_READERS.values()]
     assert n == verify._locator_rows().last[5] == max(tops)
+    slices = (row for row in triangle.read_rows(5, n) if row.n == n)
+    (straddling,) = [(before.half[-1], row.half[0])
+                     for before, row in pairwise(slices) if row.offset == col + 1]
+    assert straddling == pair
 
 
 def test_a_wrong_elimination_names_its_system(monkeypatch):
@@ -532,16 +535,48 @@ def test_the_top_row_is_checked_against_the_budget_before_it_is_built(built_rows
 @pytest.mark.parametrize("q", [4, 5, 6, 10])
 @pytest.mark.parametrize("chunk", [1, 2, 3, 10])
 def test_the_top_row_comes_in_parts_that_cover_its_half(monkeypatch, q, chunk):
+    # each part is one block child_half builds, the slots of CHUNK // (q-2) parents
+    # at most, and cell 0 comes with the first block
     monkeypatch.setattr(triangle, "CHUNK", chunk)
     *kept, = triangle.read_rows(q, 5)
     whole = triangle.nth_row(q, 5)
     parts = [row for row in kept if row.n == 5]
     assert [row.n for row in kept] == [0, 1, 2, 3, 4] + [5] * len(parts)
     assert all(row.kinds == whole.kinds for row in parts)
-    assert [(row.offset, row.half) for row in parts] == [
-        (k, whole.half[k:k + chunk]) for k in range(0, len(whole.half), chunk)
-    ]
+    widest = (q - 2) * max(chunk // (q - 2), 1)
+    assert all(0 < len(row.half) <= widest for row in parts)
+    assert len(parts[0].half) > 1
+    assert [row.offset for row in parts] == list(
+        accumulate((len(row.half) for row in parts[:-1]), initial=0))
+    assert [cell for row in parts for cell in row.half] == whole.half
     assert [triangle.completes(row) for row in parts] == [False] * (len(parts) - 1) + [True]
+
+
+def test_stream_hands_a_reader_only_rows_of_the_q_it_reads():
+    # the readers of each q are found once for it, not asked again for each row
+    asked = []
+
+    class Last(dict):
+        def __contains__(self, q):
+            asked.append(q)
+            return super().__contains__(q)
+
+        def __getitem__(self, q):
+            asked.append(q)
+            return super().__getitem__(q)
+
+        def get(self, q, default=None):
+            asked.append(q)
+            return super().get(q, default)
+
+    class Recording(verify.RowReader):
+        def read(self, q, row):
+            self.kept.setdefault(q, []).append(row.n)
+
+    readers = [Recording(Last({5: 6}), keep=None), Recording(Last({6: 4, 7: 2}), keep=None)]
+    sent = verify._stream(readers, [5, 6, 7])
+    assert sent == [({5: list(range(7))}, None), ({6: list(range(5)), 7: [0, 1, 2]}, None)]
+    assert len(asked) <= 2 * len(readers) * 3  # a few lookups a reader for each q
 
 
 # Fault table: each row injects one fault and names the detail the suite
