@@ -15,6 +15,11 @@ paths from the base.  Rows grow left to right by one uniform rule:
 For q = 4 no kind-B cells ever appear and the construction reproduces
 Pascal's triangle exactly.
 
+The rule has one encoding, _slots: q-2 slot bytes under each parent, its
+q-3 copies and then its merge, 0 where it drops fewer copies.  child_kinds
+deletes the empty slots, child_half compresses each block of values by
+them, and child_edges enumerates them.
+
 Rows are palindromes, by induction: a child reads 1, C0 M01, C1 M12, ...,
 M(m-2,m-1), 1, each copy block Ci of identical cells, so reversing a
 palindrome's child gives the same child.  A row therefore stores only its
@@ -46,9 +51,10 @@ TYPE_B = "B"
 DEFAULT_CELL_BUDGET = 10**7
 CHUNK = 2048  # slots a block holds, or cells a half is written in: too few to be mmap'd
 
-# bytes.translate tables taking kind A, or kind B, to 1 and the other kinds to 0
+# bytes.translate tables: kind A to 1 and the other kinds to 0; a parent's
+# kind to its first slot, a copy only under kind B
 _A_TABLE = bytes.maketrans(b"WAB", b"\0\1\0")
-_B_TABLE = bytes.maketrans(b"WAB", b"\0\0\1")
+_FIRST_SLOT = bytes.maketrans(b"WAB", b"\0\0B")
 
 
 class BudgetExceeded(Exception):
@@ -121,36 +127,27 @@ def initial_row() -> Row:
     return Row(0, [1], WINGER)
 
 
-def _fill(q: int) -> dict[str, int]:
-    return {WINGER: 0, TYPE_A: q - 4, TYPE_B: q - 3}  # copies a parent drops
-
-
-def _slots(parents: str, q: int, empty: str = "\0") -> str:
-    """parents, each parent's kind in lower case, with each parent replaced by
-    the slots under it: q-3 copy slots then its merge with the next, each
-    holding its child's kind, or empty where the parent drops fewer copies.
-    Upper-case kinds stay as they are."""
-    for kind, k in _fill(q).items():
-        parents = parents.replace(kind.lower(), empty * (q - 3 - k) + TYPE_B * k + TYPE_A)
-    return parents
+def _slots(parents: str, q: int) -> bytearray:
+    """q-2 slots under each parent: q-3 copies (kind B), then its merge with the
+    next (kind A), or 0 where the parent drops fewer copies: an A parent's
+    first slot, and every copy slot of the left winger.  A non-zero slot holds a child."""
+    w = q - 2
+    slots = bytearray(b"B" * (w - 1) + b"A") * len(parents)
+    slots[::w] = parents.encode().translate(_FIRST_SLOT)
+    if parents[:1] == WINGER:
+        slots[: w - 1] = bytes(w - 1)
+    return slots
 
 
 def child_kinds(kinds: str, q: int) -> str:
     """The kinds of the child of a row with these kinds: the new wingers at the
-    ends and between them the children of each parent but the right winger."""
+    ends and between them the children of each parent but the right winger,
+    built a block of CHUNK // (q-2) parents at a time."""
     _check_q(q)
-    return _slots(f"{WINGER}{kinds[:-1].lower()}{WINGER}", q, "")
-
-
-def _mask(parents: str, q: int) -> bytearray:
-    """1 at each slot of _slots(parents.lower(), q) that holds a child, else 0:
-    every slot but an A parent's first, and of the left winger only its merge."""
-    w = q - 2
-    mask = bytearray(b"\1") * (w * len(parents))
-    mask[::w] = parents.encode().translate(_B_TABLE)
-    if parents[:1] == WINGER:
-        mask[: w - 1] = bytes(w - 1)
-    return mask
+    b, m = max(CHUNK // (q - 2), 1), len(kinds) - 1
+    blocks = (_slots(kinds[i : min(i + b, m)], q).translate(None, b"\0").decode()
+              for i in range(0, m, b))
+    return "".join(chain([WINGER], blocks, [WINGER]))
 
 
 def child_half(row: Row, q: int) -> tuple[str, Iterator[list[int]]]:
@@ -163,7 +160,7 @@ def child_half(row: Row, q: int) -> tuple[str, Iterator[list[int]]]:
     when m is even; when m is odd its merge falls right of the child's
     middle, so half[-1] stands in for it there too.
     """
-    # kinds first, then values a block at a time: no mask or copy of half is whole
+    # kinds first, then values a block at a time: no slot word or copy of half is whole
     kinds = child_kinds(row.kinds, q)
     return kinds, _blocks(row, q, (len(kinds) + 1) // 2)
 
@@ -173,16 +170,16 @@ def _blocks(row: Row, q: int, h: int) -> Iterator[list[int]]:
     wholly past the half's end is empty."""
     half, extra, w = row.half, row.half[-1:], q - 2
     b = max(CHUNK // w, 1)  # parents a block, so a block holds CHUNK slots
-    slots = [1] * (w * b)  # every slot is written anew for each block
+    values = [1] * (w * b)  # every slot's value is written anew for each block
     yield [1]
     h -= 1
     for i in range(0, len(half), b):  # the children of parents i..i+b-1, by their own slots
         cells = half[i : i + b]
-        del slots[w * len(cells) :]  # the last block may hold fewer parents
+        del values[w * len(cells) :]  # the last block may hold fewer parents
         for j in range(w - 1):
-            slots[j::w] = cells
-        slots[w - 1 :: w] = map(add, cells, half[i + 1 : i + b + 1] + extra)
-        block = list(compress(slots, _mask(row.kinds[i : i + len(cells)], q)))
+            values[j::w] = cells
+        values[w - 1 :: w] = map(add, cells, half[i + 1 : i + b + 1] + extra)
+        block = list(compress(values, _slots(row.kinds[i : i + len(cells)], q)))
         del block[h:]  # the half may end in this block
         yield block
         h -= len(block)
@@ -372,8 +369,8 @@ def child_edges(kinds: str, q: int) -> Iterator[tuple[int, int]]:
     w = q - 2
     yield 0, 0
     c = 1
-    for j, slot in enumerate(_slots(kinds[:-1].lower(), q)):
-        if slot != "\0":
+    for j, slot in enumerate(_slots(kinds[:-1], q)):
+        if slot:
             yield j // w, c
             if j % w == w - 1:
                 yield j // w + 1, c

@@ -41,6 +41,29 @@ def test_every_module_parses_as_the_oldest_declared_python():
         )
 
 
+def test_every_private_module_level_name_is_read_in_the_package():
+    # a helper or table outlives its last reader unseen; public names and
+    # dunders are exempt, since users read some (nth_row, __version__) only
+    defined, read = set(), set()
+    for path in sorted(Path(hpascal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add((path.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {(path.name, name.id) for target in targets
+                            for name in ast.walk(target) if isinstance(name, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = {(module, name) for module, name in defined
+               if name.startswith("_") and not name.startswith("__")}
+    assert {(module, name) for module, name in private if name not in read} == set()
+
+
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
     # verify.stream imports it when it forks, so CLI start-up does not pay for it
     src = Path(hpascal.__file__).parents[1]

@@ -83,23 +83,37 @@ class FullRow(NamedTuple):
     kinds: str
 
 
+def reference_fill(q):
+    """The copies a parent of each kind drops."""
+    return {"W": 0, "A": q - 4, "B": q - 3}
+
+
+def reference_slots(parents, q, empty="\0"):
+    """parents in lower case, each replaced by the slots under it: q-3 copy slots,
+    empty where it drops fewer copies, then its merge with the next."""
+    for kind, k in reference_fill(q).items():
+        parents = parents.replace(kind.lower(), empty * (q - 3 - k) + "B" * k + "A")
+    return parents
+
+
+def reference_child(kinds, values, q):
+    """The child's kinds, values and (parent, child) edges, cell by cell: the left
+    winger, then each parent p's copies of p and its merge p + next, then the right winger."""
+    child, edges = [1], [(0, 0)]
+    for i, kind in enumerate(kinds[:-1]):
+        for _ in range(reference_fill(q)[kind]):
+            edges.append((i, len(child)))
+            child.append(values[i])
+        edges += [(i, len(child)), (i + 1, len(child))]
+        child.append(values[i] + values[i + 1])
+    edges.append((len(kinds) - 1, len(child)))
+    return f"W{reference_slots(kinds[:-1].lower(), q, '')}W", child + [1], edges
+
+
 def reference_next_row(row, q):
-    """The cell-by-cell builder: appends each child's value and kind in turn."""
-    if len(row.values) == 1:
-        return FullRow(row.n + 1, [1, 1], "WW")
-    fill = {"A": q - 4, "B": q - 3}
-    values, kinds = [1], ["W"]
-    for i in range(1, len(row.values)):
-        if i > 1:
-            parent = row.values[i - 1]
-            for _ in range(fill[row.kinds[i - 1]]):
-                values.append(parent)
-                kinds.append("B")
-        values.append(row.values[i - 1] + row.values[i])
-        kinds.append("A")
-    values.append(1)
-    kinds.append("W")
-    return FullRow(row.n + 1, values, "".join(kinds))
+    """The cell-by-cell builder, on every cell's value."""
+    kinds, values, _ = reference_child(row.kinds, row.values, q)
+    return FullRow(row.n + 1, values, kinds)
 
 
 @pytest.mark.parametrize("q", [5, 6, 7])
@@ -287,14 +301,28 @@ def test_next_row_matches_the_cell_by_cell_builder_in_blocks_of_any_chunk(monkey
     assert_rows_match_the_cell_by_cell_builder(q)
 
 
-@given(q=st.integers(4, 30), inner=st.text("AB", max_size=40), cut=st.integers(0, 41))
-def test_a_blocks_mask_marks_the_slots_that_hold_a_child(q, inner, cut):
-    # the mask sets one column per parent from its kind: the shortcut holds
-    # only while an A parent's first slot is its only empty one, bar the winger's
-    kinds = triangle.WINGER + inner
-    for block in (kinds[:cut], kinds[cut:]):  # the left winger's block, then a later one
-        slots = triangle._slots(block.lower(), q)
-        assert triangle._mask(block, q) == bytes(slot != "\0" for slot in slots)
+@settings(deadline=None)
+@given(q=st.integers(4, 30), inner=st.text("AB", max_size=40), middle=st.sampled_from("AB "),
+       cut=st.integers(0, 41), chunk=st.integers(1, 90),
+       half=st.lists(st.integers(0, 10**30), min_size=42, max_size=42))
+def test_the_slot_encoding_builds_what_the_cell_by_cell_rule_builds(
+        q, inner, middle, cut, chunk, half):
+    # any A/B string, not only a row's: the rule is local to each parent and its next
+    kinds = f"W{inner}W"
+    parents = kinds[:-1]
+    for block in (parents[:cut], parents[cut:]):  # the left winger's block, then a later one
+        assert triangle._slots(block, q) == reference_slots(block.lower(), q).encode()
+    ref_kinds, _, ref_edges = reference_child(kinds, [0] * len(kinds), q)  # no value read
+    # a row stores its left half, so next_row reads a palindrome
+    palindrome = f"W{inner}{middle.strip()}{inner[::-1]}W"
+    row = triangle.Row(7, [1, *half[: (len(palindrome) - 1) // 2]], palindrome)
+    expected_kinds, expected_values, _ = reference_child(palindrome, row.values, q)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(triangle, "CHUNK", chunk)  # blocks of CHUNK // (q-2) parents
+        assert triangle.child_kinds(kinds, q) == ref_kinds
+        assert list(child_edges(kinds, q)) == ref_edges
+        child = next_row(row, q)
+    assert (child.kinds, child.values) == (expected_kinds, expected_values)
 
 
 @settings(deadline=None)
@@ -363,6 +391,20 @@ def test_next_row_builds_its_child_block_by_block():
         tracemalloc.stop()
     assert len(child) > len(parent)
     assert (peak - held) / len(parent) <= 0.5
+
+
+@pytest.mark.parametrize("q, n", [(5, 15), (6, 11)])
+def test_child_kinds_builds_its_kinds_a_block_of_parents_at_a_time(q, n):
+    # the block strings are joined once: about one transient byte a child cell
+    # (1.03 measured); one slot bytearray under the whole row read 1.29 at q = 5
+    kinds = row_kinds(q, n)
+    tracemalloc.start()
+    try:
+        child = triangle.child_kinds(kinds, q)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - held) / len(child) <= 1.25
 
 
 def test_reading_a_top_row_keeps_no_recut_buffer():
