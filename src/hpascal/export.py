@@ -1,39 +1,40 @@
 """Serialize triangle rows as CSV, JSON lines, or a DOT graph.
 
-Values are always written as exact decimal strings; the JSON format
-never carries numbers that might get read back as floats.
-
-Rows are palindromes that store their left half (see triangle), and so is
-a separator's join of one: the CSV and JSON writers write a line's values
-forward and mirrored, in slices of triangle.CHUNK cells of the half, each
-converted as it is written through one table of the line's decimals.
+Values are written as exact decimal strings, so JSON never carries a
+float.  Rows, and so a separator's join of one, are palindromes that store
+their left half (see triangle): the CSV and JSON writers write a line's
+values forward and mirrored, in slices of triangle.CHUNK cells of the half,
+each converted by one itemgetter call over a table of the line's decimals.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 from typing import IO, Iterable
 
 from . import triangle
 from .triangle import DEFAULT_CELL_BUDGET, Row, TYPE_A, child_edges, generate_rows
 
 
-class _Decimals(dict):
-    """A value's decimal string, made on its first read; kind-B cells copy, so few values differ."""
-
-    def __missing__(self, value: int) -> str:
-        self[value] = text = str(value)
-        return text
+def _decimals(cells: list[int], table: dict[int, str]) -> tuple[str, ...]:
+    """The cells' decimal strings from table, which gains each value it lacks (few differ)."""
+    try:
+        texts = itemgetter(*cells)(table)
+    except KeyError:
+        table.update((value, str(value)) for value in set(cells).difference(table))
+        texts = itemgetter(*cells)(table)
+    return texts if len(cells) > 1 else (texts,)  # one key gets the bare string
 
 
 def _write_values(half: list[int], size: int, sep: str, fp: IO[str]) -> None:
     """Write sep.join of a size-cell palindrome's values: its left half forward, then mirrored."""
-    c, decimal = triangle.CHUNK, _Decimals().__getitem__
-    fp.write(sep.join(map(decimal, half[:c])))
+    c, table = triangle.CHUNK, {}
+    fp.write(sep.join(_decimals(half[:c], table)))
     for s in range(c, len(half), c):
-        fp.write(sep + sep.join(map(decimal, half[s : s + c])))
+        fp.write(sep + sep.join(_decimals(half[s : s + c], table)))
     for e in range(size // 2, 0, -c):  # the middle cell of an odd row is not mirrored
-        fp.write(sep + sep.join(map(decimal, half[max(e - c, 0) : e][::-1])))
+        fp.write(sep + sep.join(_decimals(half[max(e - c, 0) : e], table)[::-1]))
 
 
 def _write_kinds(kinds: str, fp: IO[str]) -> None:
@@ -67,10 +68,9 @@ def write_json(rows: Iterable[Row], fp: IO[str]) -> None:
 def write_dot(
     q: int, n_max: int, fp: IO[str], cell_budget: int = DEFAULT_CELL_BUDGET
 ) -> None:
-    """DOT digraph of rows 0..n_max with parent -> child edges.
+    """DOT digraph of rows 0..n_max with parent -> child edges, nodes n<row>_<col>.
 
-    Kind-A cells are drawn as ellipses, kind-B cells and wingers as
-    boxes.  Node ids are n<row>_<col>.
+    Kind-A cells are drawn as ellipses, kind-B cells and wingers as boxes.
     """
     rows = generate_rows(q, n_max, cell_budget)
     first = next(rows)  # rejects bad arguments before anything is written

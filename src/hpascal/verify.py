@@ -14,10 +14,11 @@ stored: triangle.read_rows hands it out in parts, the blocks its builder
 makes, each read by every reader of that q and dropped.  The calling
 process streams q = 5 while one forked worker streams the larger q's;
 while the worker finishes, the caller runs the suites that read no rows
-or only q = 5 rows, so only the suites that read the worker's rows run
-after the merge; if the worker dies, those suites fail, as does a suite
-whose reader raises on a row.  The suites that read closed forms share
-one table per run, so each closed form is evaluated once.
+or only q = 5 rows, and three-way's cross-check of its routes, so only
+the checks of the worker's rows run after the merge; if the worker dies,
+those suites fail, as does a suite whose reader raises on a row.  The
+suites that read closed forms share one table per run, so each closed
+form is evaluated once.
 """
 
 from __future__ import annotations
@@ -212,10 +213,13 @@ class ClosedForms:
     def __init__(self) -> None:
         self.counts = cache(sequences.counts_closed)
         self.sums = cache(sequences.sums_closed)
+        self.routes_agree = False  # three_way_routes has passed
 
 
-def three_way_agreement(seen: RowReader, closed: ClosedForms) -> str:
-    """Coupled, ternary and closed-form counts/sums agree, and match rows."""
+def three_way_routes(closed: ClosedForms) -> None:
+    """Three-way's row-free part, checked once a run: the three routes agree."""
+    if closed.routes_agree:
+        return
     for q in AGREEMENT_QS:
         for n in range(1, AGREEMENT_N_MAX + 1):
             c = sequences.counts_coupled(q, n)
@@ -228,6 +232,12 @@ def three_way_agreement(seen: RowReader, closed: ClosedForms) -> str:
                 raise SuiteFailure(f"sum ternary/coupled mismatch at q={q} n={n}")
             if closed.sums(q, n) != s:
                 raise SuiteFailure(f"sum closed/coupled mismatch at q={q} n={n}")
+    closed.routes_agree = True
+
+
+def three_way_agreement(seen: RowReader, closed: ClosedForms) -> str:
+    """Coupled, ternary and closed-form counts/sums agree, and match rows."""
+    three_way_routes(closed)
     for q, last in seen.last.items():
         for n in range(1, last + 1):
             if (q, n) not in seen.kept:
@@ -493,8 +503,8 @@ def run(names: Iterable[str] | None = None) -> list[CheckResult]:
     reader raised, fails with the exception's message as its detail (named
     by type unless it is a SuiteFailure); the rest still run.
     While a forked worker streams rows, the caller runs every suite that
-    reads no rows or only rows the caller streamed; the rest run after
-    the merge.  The results come in the order named.
+    reads no rows or only rows the caller streamed, and three_way_routes;
+    the rest run after the merge.  The results come in the order named.
     """
     picked = list(SUITES) if names is None else list(names)
     for suite_name in picked:
@@ -524,6 +534,11 @@ def run(names: Iterable[str] | None = None) -> list[CheckResult]:
         for i, name in enumerate(picked):
             if i not in done and (name not in fed or fed[name].last.keys() <= streamed):
                 done[i] = result(name)
+        if "three-way" in fed:
+            try:
+                three_way_routes(closed)
+            except (SuiteFailure, *CHECK_FAILURES):
+                pass  # raised again when three-way runs, after any reader error
 
     stream(list(fed.values()), run_streamed)
     return [done[i] if i in done else result(name) for i, name in enumerate(picked)]

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from hpascal import triangle
+from hpascal import export, triangle
 from hpascal.export import write_csv, write_dot, write_json
 from hpascal.triangle import generate_rows, largest_row_within, nth_row
 
@@ -121,6 +121,23 @@ def test_repeated_many_digit_values_match_reference_encoders(writer, reference, 
     assert len(set(row15.values)) == 734 and max(row15.values) == 987
     for rows in ([binomials], [row15], [binomials, row15]):
         assert written(writer, rows) == reference(rows)
+
+
+# [1, 2] new, [1, 2] known, [3, 1] and [2, 5] each half new, [5] one known cell
+LATER_SLICES_BRING_NEW_VALUES = [1, 2, 1, 2, 3, 1, 2, 5, 5]
+
+
+@pytest.mark.parametrize("line, chunk", [
+    pytest.param([7], 1, id="one-new-cell"),
+    pytest.param(LATER_SLICES_BRING_NEW_VALUES, 2, id="later-slices-bring-new-values"),
+    pytest.param(nth_row(4, 300).half, 16, id="q4-big-ints"),  # up to 89 digits
+])
+def test_each_slice_converts_through_one_table_of_the_line(line, chunk):
+    table = {}
+    for s in range(0, len(line), chunk):
+        cells = line[s : s + chunk]
+        assert export._decimals(cells, table) == tuple(map(str, cells))
+    assert table == {value: str(value) for value in line}  # each distinct value once
 
 
 class Discard:

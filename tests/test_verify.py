@@ -66,6 +66,36 @@ def test_three_way_fails_when_a_generated_row_goes_missing(two_cpus, monkeypatch
     assert (result.passed, result.detail) == (False, "generated row missing at q=7 n=5")
 
 
+def test_three_way_cross_checks_its_routes_while_the_worker_streams(two_cpus, monkeypatch):
+    streamed, events = verify.stream, []
+
+    def noting_the_merge(readers, while_waiting):
+        streamed(readers, lambda qs: (while_waiting(qs), events.append("waited")))
+        events.append("merged")
+
+    ternary = sequences.counts_ternary
+    monkeypatch.setattr(verify, "stream", noting_the_merge)
+    monkeypatch.setattr(sequences, "counts_ternary",
+                        lambda q, n: events.append((os.getpid(), q, n)) or ternary(q, n))
+    monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", 10**4)  # small rows suffice
+    assert all(r.passed for r in verify.run(["three-way", "three-way"]))
+    pairs = [(os.getpid(), q, n) for q in verify.AGREEMENT_QS
+             for n in range(1, verify.AGREEMENT_N_MAX + 1)]
+    assert events == [*pairs, "waited", "merged"]  # in the caller, once a run
+
+
+def test_a_route_mismatch_is_reported_ahead_of_a_row_mismatch(two_cpus, monkeypatch):
+    returning(sequences, "sums_ternary", (7, 12), None)(monkeypatch)
+    swapped_kinds(monkeypatch)  # generated sums mismatch at q=7 n=6, a worker row
+    monkeypatch.setattr(verify, "DEFAULT_CELL_BUDGET", 10**4)
+    for cpus in (2, 1):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        (result,) = verify.run(["three-way"])
+        assert (result.passed, result.detail) == (
+            False, "sum ternary/coupled mismatch at q=7 n=12"
+        )
+
+
 def test_three_way_fails_when_a_worker_row_has_a_wrong_cell(two_cpus, monkeypatch, built_rows):
     # a row stores only its left half, so one wrong cell there is a wrong
     # pair of cells, and row_sums must see it
